@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.analysis.experiments import (
     compositional_row,
@@ -59,22 +59,6 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-disk-cache",
         action="store_true",
         help="keep the model registry in memory only",
-    )
-
-
-def _add_push_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--push-gateway",
-        default=None,
-        metavar="URL",
-        help="POST metric snapshots to this fleet gateway ('repro obs-agg'); "
-        "defaults to $REPRO_PUSH_GATEWAY; worker processes push their own "
-        "snapshots too",
-    )
-    parser.add_argument(
-        "--instance",
-        default=None,
-        help="source identity for pushed snapshots (default: <hostname>-<pid>)",
     )
 
 
@@ -263,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_save_policy_option(batch)
     _add_cache_arguments(batch)
-    _add_push_arguments(batch)
 
     profile = sub.add_parser(
         "profile",
@@ -335,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address for --http-port (default: 127.0.0.1)",
     )
     _add_cache_arguments(serve)
-    _add_push_arguments(serve)
 
     obs_server = sub.add_parser(
         "obs-server",
@@ -368,54 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the --queries workload",
     )
     _add_cache_arguments(obs_server)
-    _add_push_arguments(obs_server)
-
-    obs_agg = sub.add_parser(
-        "obs-agg",
-        help="fleet telemetry aggregator: scrape multiple telemetry servers "
-        "and/or accept POST /push snapshots, re-exposing one federated "
-        "/metrics (instance-labeled) and one rolled-up /healthz",
-    )
-    obs_agg.add_argument(
-        "--scrape",
-        action="append",
-        default=[],
-        metavar="[NAME=]URL",
-        help="a telemetry server to poll; repeatable (bare URLs label their "
-        "samples by host:port; NAME=URL picks the instance label)",
-    )
-    obs_agg.add_argument(
-        "--port", type=int, default=9780, help="TCP port (0 picks a free port)"
-    )
-    obs_agg.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    obs_agg.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="scrape interval in seconds (default: 2)",
-    )
-    obs_agg.add_argument(
-        "--timeout",
-        type=float,
-        default=1.0,
-        help="per-target scrape timeout in seconds (default: 1)",
-    )
-    obs_agg.add_argument(
-        "--staleness",
-        type=float,
-        default=10.0,
-        help="seconds of silence before a source counts as stale and the "
-        "rolled-up /healthz degrades (default: 10)",
-    )
-    obs_agg.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="serve for this many seconds, then exit cleanly "
-        "(default: until interrupted)",
-    )
 
     bench = sub.add_parser(
         "bench",
@@ -799,9 +733,36 @@ def _make_engine(args: argparse.Namespace):
         workers=getattr(args, "workers", None),
         timeout=getattr(args, "timeout", None),
         precompute=getattr(args, "precompute", False),
-        push_gateway=getattr(args, "push_gateway", None),
-        instance=getattr(args, "instance", None),
     )
+
+
+def _read_batch_file(path: str) -> tuple[list, Any] | None:
+    """The ``(records, defaults)`` of a batch file, or ``None`` if bad.
+
+    A batch file is a JSON list of queries or an object with a
+    ``queries`` list and optional ``defaults``.  The reason a file is
+    rejected goes to stderr; callers exit 2.
+    """
+    from pathlib import Path
+
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    except json.JSONDecodeError as exc:
+        print(f"invalid JSON in {path}: {exc}", file=sys.stderr)
+        return None
+    if isinstance(document, list):
+        return document, None
+    if isinstance(document, dict) and isinstance(document.get("queries"), list):
+        return document["queries"], document.get("defaults")
+    print(
+        f"{path}: batch file must be a JSON list of queries or an object "
+        "with a 'queries' list (and optional 'defaults')",
+        file=sys.stderr,
+    )
+    return None
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -809,25 +770,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     from repro.errors import ModelError
 
-    try:
-        document = json.loads(Path(args.queries).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"cannot read {args.queries}: {exc}", file=sys.stderr)
+    batch_file = _read_batch_file(args.queries)
+    if batch_file is None:
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"invalid JSON in {args.queries}: {exc}", file=sys.stderr)
-        return 2
-    if isinstance(document, list):
-        records, defaults = document, None
-    elif isinstance(document, dict) and isinstance(document.get("queries"), list):
-        records, defaults = document["queries"], document.get("defaults")
-    else:
-        print(
-            "batch file must be a JSON list of queries or an object with "
-            "a 'queries' list (and optional 'defaults')",
-            file=sys.stderr,
-        )
-        return 2
+    records, defaults = batch_file
 
     engine = _make_engine(args)
     try:
@@ -909,7 +855,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_obs_server(args: argparse.Namespace) -> int:
     import time
-    from pathlib import Path
 
     from repro.obs import tracing
     from repro.obs.http import SpanLog, TelemetryServer
@@ -931,18 +876,10 @@ def _cmd_obs_server(args: argparse.Namespace) -> int:
     )
     try:
         if args.queries:
-            try:
-                document = json.loads(Path(args.queries).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"cannot read {args.queries}: {exc}", file=sys.stderr)
+            batch_file = _read_batch_file(args.queries)
+            if batch_file is None:
                 return 2
-            if isinstance(document, list):
-                records, defaults = document, None
-            elif isinstance(document, dict) and isinstance(document.get("queries"), list):
-                records, defaults = document["queries"], document.get("defaults")
-            else:
-                print(f"{args.queries}: not a batch file", file=sys.stderr)
-                return 2
+            records, defaults = batch_file
             with tracing() as tracer:
                 batch = engine.run_dicts(records, defaults=defaults)
             span_log.extend(tracer.as_dicts())
@@ -959,58 +896,6 @@ def _cmd_obs_server(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     finally:
-        server.stop()
-    return 0
-
-
-def _cmd_obs_agg(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.obs.fleet import FleetAggregator, FleetStore, parse_target
-    from repro.obs.http import TelemetryServer
-    from repro.obs.metrics import MetricStore
-
-    try:
-        targets = [parse_target(spec) for spec in args.scrape]
-    except ValueError as exc:
-        print(f"bad --scrape target: {exc}", file=sys.stderr)
-        return 2
-    store = FleetStore(staleness_seconds=args.staleness)
-    aggregator = FleetAggregator(
-        targets,
-        store=store,
-        interval=args.interval,
-        timeout=args.timeout,
-    )
-    try:
-        server = TelemetryServer(
-            MetricStore(),
-            host=args.host,
-            port=args.port,
-            fleet=store,
-            instance="gateway",
-        )
-    except OSError as exc:
-        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 1
-    server.start()
-    aggregator.start()
-    scraped = ", ".join(instance for instance, _url in targets) or "none"
-    print(
-        f"fleet gateway listening on {server.url} "
-        f"(scraping: {scraped}; POST {server.url}/push accepted)",
-        file=sys.stderr,
-    )
-    try:
-        if args.duration is not None:
-            time.sleep(max(0.0, args.duration))
-        else:  # pragma: no cover - interactive path
-            while True:
-                time.sleep(3600.0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        aggregator.stop()
         server.stop()
     return 0
 
@@ -1078,7 +963,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "profile": _cmd_profile,
         "serve": _cmd_serve,
         "obs-server": _cmd_obs_server,
-        "obs-agg": _cmd_obs_agg,
         "bench": _cmd_bench,
         "policy": _cmd_policy,
     }

@@ -331,32 +331,12 @@ def _solve_group(
     return results
 
 
-def _push_metrics(
-    gateway: str,
-    metrics: "EngineMetrics",
-    instance: str | None = None,
-    spans: Sequence[Mapping[str, Any]] | None = None,
-) -> bool:
-    """Push one snapshot to a fleet gateway; failures never propagate.
-
-    The outcome is recorded in the *local* store (``fleet_pushes`` /
-    ``fleet_push_failures``) so a scrape of the pushing process shows
-    whether its gateway deliveries are getting through.
-    """
-    from repro.obs.fleet import push_snapshot
-
-    ok = push_snapshot(gateway, metrics, instance=instance, spans=spans)
-    metrics.count("fleet_pushes" if ok else "fleet_push_failures")
-    return ok
-
-
 def _worker_solve_group(
     group: QueryGroup,
     cache_dir: str | None,
     timeout: float | None,
     trace_id: str | None = None,
     precompute: bool = False,
-    push_gateway: str | None = None,
 ) -> tuple[list[QueryResult], dict, dict | None]:
     """Process-pool entry point: solve one group in a fresh registry.
 
@@ -365,11 +345,7 @@ def _worker_solve_group(
     under tracing it passes its ``trace_id``; the worker then records
     its own spans under that id and ships them back as the third tuple
     element (spans, the worker tracer's activation epoch, and the
-    worker pid) for :meth:`Tracer.adopt` in the parent.  With a
-    ``push_gateway`` the worker additionally pushes its own snapshot
-    under its ``<hostname>-<pid>`` identity before returning, so a
-    fleet gateway sees fan-out workers live instead of only the
-    parent's post-merge aggregate.
+    worker pid) for :meth:`Tracer.adopt` in the parent.
     """
     # A fork-started worker inherits the parent's active tracer in the
     # module global; spans recorded there would vanish with the worker.
@@ -396,12 +372,6 @@ def _worker_solve_group(
                 "origin_epoch": tracer.origin_epoch,
                 "pid": os.getpid(),
             }
-    if push_gateway:
-        _push_metrics(
-            push_gateway,
-            registry.metrics,
-            spans=payload["spans"] if payload is not None else None,
-        )
     return results, registry.metrics.as_dict(), payload
 
 
@@ -412,8 +382,6 @@ def run_batch(
     timeout: float | None = None,
     record_schedulers: bool = False,
     precompute: bool = False,
-    push_gateway: str | None = None,
-    instance: str | None = None,
 ) -> BatchResult:
     """Answer a batch of queries; results come back in input order.
 
@@ -439,20 +407,7 @@ def run_batch(
         Run qualitative graph precomputation (Prob0 clamping) inside
         the CTMDP solver.  Off by default: clamped sweeps agree with
         the plain sweep only up to the solver epsilon, not bitwise.
-    push_gateway:
-        URL of a fleet push gateway (``repro obs-agg``); falls back to
-        the ``REPRO_PUSH_GATEWAY`` environment variable.  When set, the
-        batch's final metrics snapshot -- and, under fan-out, each
-        worker's own snapshot -- is POSTed to the gateway's ``/push``
-        so concurrent runs are observable live on one ``/metrics``.
-        Delivery failures are counted locally, never raised.
-    instance:
-        Source identity for the push (default ``<hostname>-<pid>``).
     """
-    if push_gateway is None:
-        from repro.obs.fleet import push_gateway_from_env
-
-        push_gateway = push_gateway_from_env()
     batch = list(queries)
     registry = registry if registry is not None else ModelRegistry()
     metrics = registry.metrics
@@ -482,7 +437,6 @@ def run_batch(
                     timeout,
                     trace_id,
                     precompute,
-                    push_gateway,
                 ): group
                 for group in groups
             }
@@ -511,14 +465,6 @@ def run_batch(
     failed = sum(not result.ok for result in results)
     if failed:
         metrics.count("queries_failed", failed)
-    if push_gateway:
-        parent_tracer = current_tracer()
-        _push_metrics(
-            push_gateway,
-            metrics,
-            instance=instance,
-            spans=parent_tracer.as_dicts() if parent_tracer is not None else None,
-        )
     return BatchResult(results=results, metrics=metrics)
 
 
@@ -530,8 +476,6 @@ def run_batch_dicts(
     timeout: float | None = None,
     record_schedulers: bool = False,
     precompute: bool = False,
-    push_gateway: str | None = None,
-    instance: str | None = None,
 ) -> BatchResult:
     """Like :func:`run_batch`, but over raw query dictionaries.
 
@@ -555,8 +499,6 @@ def run_batch_dicts(
         timeout=timeout,
         record_schedulers=record_schedulers,
         precompute=precompute,
-        push_gateway=push_gateway,
-        instance=instance,
     )
     slots: list[QueryResult | None] = [None] * len(records)
     for (index, _query), result in zip(parsed, inner.results):
@@ -592,8 +534,6 @@ class QueryEngine:
         workers: int | None = None,
         timeout: float | None = None,
         precompute: bool = False,
-        push_gateway: str | None = None,
-        instance: str | None = None,
     ) -> None:
         if registry is None:
             registry = ModelRegistry(cache_dir=cache_dir)
@@ -601,8 +541,6 @@ class QueryEngine:
         self.workers = workers
         self.timeout = timeout
         self.precompute = precompute
-        self.push_gateway = push_gateway
-        self.instance = instance
 
     @property
     def metrics(self) -> EngineMetrics:
@@ -624,8 +562,6 @@ class QueryEngine:
             timeout=self.timeout,
             record_schedulers=record_schedulers,
             precompute=self.precompute,
-            push_gateway=self.push_gateway,
-            instance=self.instance,
         )
 
     def run_dicts(
@@ -643,6 +579,4 @@ class QueryEngine:
             timeout=self.timeout,
             record_schedulers=record_schedulers,
             precompute=self.precompute,
-            push_gateway=self.push_gateway,
-            instance=self.instance,
         )

@@ -9,7 +9,6 @@ from repro.imc.alternating import (
     word_label,
 )
 from repro.imc.algebra import ProcessSpec, choice, prefix, ref, stop
-from repro.imc.checks import Finding, Severity, lint_imc
 from repro.imc.composition import (
     hide,
     hide_all_but,
@@ -44,9 +43,6 @@ __all__ = [
     "parallel_with_map",
     "relabel",
     "elapse",
-    "Finding",
-    "Severity",
-    "lint_imc",
     "ProcessSpec",
     "choice",
     "prefix",

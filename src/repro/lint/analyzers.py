@@ -9,8 +9,8 @@ constructors already enforce (index ranges, positivity), because models
 reach them through mutation, pickling and on-disk round trips, not only
 through the constructors.
 
-The IMC analyzer is the successor of the original ``repro.imc.checks``
-linter; its legacy slug codes map onto the stable code space as
+The IMC analyzer replaced an earlier slug-coded IMC linter; the
+legacy slug codes map onto the stable code space as
 
 ====================  ======
 legacy slug           code

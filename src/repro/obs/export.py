@@ -10,10 +10,7 @@ Two consumers are served:
   histograms, info metrics) in the Prometheus/OpenMetrics text format,
   answered by ``repro serve`` on a literal ``/metrics`` request line
   and by the HTTP telemetry server (:mod:`repro.obs.http`) on
-  ``GET /metrics``; :func:`prometheus_federation` renders *many*
-  snapshots in one exposition, each sample carrying an
-  ``instance="..."`` label, for the fleet aggregation layer
-  (:mod:`repro.obs.fleet`).
+  ``GET /metrics``.
 
 Metric name mangling follows the Prometheus conventions: counters get
 a ``_total`` suffix, timers become ``<name>_seconds_total`` (the stored
@@ -21,9 +18,8 @@ timer names already end in ``_seconds``), histograms expand into
 ``_bucket``/``_sum``/``_count`` sample families, and every character
 outside ``[a-zA-Z0-9_]`` is replaced by ``_``.  Each family is
 announced by ``# HELP`` and ``# TYPE`` lines, in that order and exactly
-once even when several labeled instances contribute samples, and label
-values are escaped per the text-format grammar (backslash, double
-quote, newline).
+once, and label values are escaped per the text-format grammar
+(backslash, double quote, newline).
 """
 
 from __future__ import annotations
@@ -31,16 +27,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from repro.obs.metrics import MetricStore
 
-__all__ = [
-    "escape_label_value",
-    "prometheus_exposition",
-    "prometheus_federation",
-    "read_jsonl",
-]
+__all__ = ["escape_label_value", "prometheus_exposition", "read_jsonl"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -66,15 +57,6 @@ _HELP: dict[str, str] = {
     "certificate_error_bound_max": "Largest error bound issued so far.",
     "certificate_dropped_mass": "Poisson mass outside the truncation window.",
     "http_requests": "HTTP telemetry requests served.",
-    "fleet_pushes": "Metric snapshots pushed to a fleet gateway.",
-    "fleet_push_failures": "Snapshot pushes that failed.",
-    "fleet_sources": "Sources known to the fleet store.",
-    "fleet_source_up": "1 while the source's last contact succeeded and is fresh.",
-    "fleet_source_staleness_seconds": "Seconds since the source was last heard from.",
-    "fleet_source_pushes": "Snapshots this source pushed to the gateway.",
-    "fleet_source_scrapes": "Successful scrapes of this source.",
-    "fleet_source_scrape_failures": "Failed scrape attempts against this source.",
-    "fleet_last_scrape_seconds": "Duration of the last successful scrape.",
 }
 
 
@@ -95,18 +77,12 @@ def _format_value(value: float) -> str:
     return repr(float(value)) if value != int(value) else str(int(value))
 
 
-def _render_labels(labels: Mapping[str, str] | None, *extra: tuple[str, str]) -> str:
-    """``{k="v",...}`` with sanitised names and escaped values (or ``""``).
-
-    ``extra`` pairs (e.g. a histogram's ``le``) are appended after the
-    sorted constant labels and are rendered verbatim (their values are
-    already exposition-safe numbers).
-    """
+def _render_labels(labels: Mapping[str, str]) -> str:
+    """``{k="v",...}`` with sanitised names and escaped values (or ``""``)."""
     parts = [
         f'{_NAME_RE.sub("_", key)}="{escape_label_value(str(value))}"'
-        for key, value in sorted((labels or {}).items())
+        for key, value in sorted(labels.items())
     ]
-    parts.extend(f'{key}="{value}"' for key, value in extra)
     if not parts:
         return ""
     return "{" + ",".join(parts) + "}"
@@ -117,8 +93,9 @@ class _Families:
 
     The text-format grammar requires each family's ``# HELP`` and
     ``# TYPE`` to appear exactly once, before its samples -- so when
-    several labeled instances contribute samples to the same family
-    (the federation case), the samples must be grouped under a single
+    two store entries mangle to the same family name (a counter
+    ``x_seconds`` and a timer ``x_seconds`` both become
+    ``x_seconds_total``), their samples are grouped under a single
     header.  Families keep first-seen order.
     """
 
@@ -127,17 +104,10 @@ class _Families:
         self._kinds: dict[str, tuple[str, str]] = {}
         self._samples: dict[str, list[str]] = {}
 
-    def add(
-        self, metric: str, kind: str, base_name: str, lines: Iterable[str],
-        help_text: str | None = None,
-    ) -> None:
+    def add(self, metric: str, kind: str, base_name: str, lines: Iterable[str]) -> None:
         if metric not in self._kinds:
             self._order.append(metric)
-            text = (
-                help_text
-                if help_text is not None
-                else _HELP.get(base_name, f"{kind} {base_name} recorded by repro.")
-            )
+            text = _HELP.get(base_name, f"{kind} {base_name} recorded by repro.")
             self._kinds[metric] = (kind, text)
             self._samples[metric] = []
         self._samples[metric].extend(lines)
@@ -152,58 +122,8 @@ class _Families:
         return lines
 
 
-def _snapshot_families(
-    families: _Families,
-    snapshot: Mapping[str, Any],
-    prefix: str,
-    labels: Mapping[str, str] | None,
-) -> None:
-    """Fold one store snapshot (``MetricStore.as_dict``) into ``families``."""
-    rendered_labels = _render_labels(labels)
-    for name, value in snapshot.get("counters", {}).items():
-        metric = _metric_name(prefix, name) + "_total"
-        families.add(
-            metric, "counter", name,
-            [f"{metric}{rendered_labels} {_format_value(value)}"],
-        )
-    for name, value in snapshot.get("timers", {}).items():
-        base = name[: -len("_seconds")] if name.endswith("_seconds") else name
-        metric = _metric_name(prefix, base) + "_seconds_total"
-        families.add(
-            metric, "counter", name,
-            [f"{metric}{rendered_labels} {_format_value(float(value))}"],
-        )
-    for name, value in snapshot.get("gauges", {}).items():
-        metric = _metric_name(prefix, name)
-        families.add(
-            metric, "gauge", name,
-            [f"{metric}{rendered_labels} {_format_value(float(value))}"],
-        )
-    for name, data in snapshot.get("histograms", {}).items():
-        metric = _metric_name(prefix, name)
-        lines = []
-        cumulative = 0
-        for bound, count in zip(data["bounds"], data["counts"]):
-            cumulative += int(count)
-            bucket = _render_labels(labels, ("le", _format_value(float(bound))))
-            lines.append(f"{metric}_bucket{bucket} {cumulative}")
-        cumulative += int(data["counts"][-1])
-        bucket = _render_labels(labels, ("le", "+Inf"))
-        lines.append(f"{metric}_bucket{bucket} {cumulative}")
-        lines.append(f"{metric}_sum{rendered_labels} {_format_value(float(data['sum']))}")
-        lines.append(f"{metric}_count{rendered_labels} {cumulative}")
-        families.add(metric, "histogram", name, lines)
-    for name, info_labels in snapshot.get("infos", {}).items():
-        metric = _metric_name(prefix, name)
-        # Constant labels (e.g. instance) win over colliding info keys.
-        merged = {**info_labels, **(labels or {})}
-        families.add(metric, "gauge", name, [f"{metric}{_render_labels(merged)} 1"])
-
-
 def prometheus_exposition(
-    metrics: MetricStore | Mapping[str, Any],
-    prefix: str = "repro_",
-    labels: Mapping[str, str] | None = None,
+    metrics: MetricStore | Mapping[str, Any], prefix: str = "repro_"
 ) -> str:
     """Render one store (or its snapshot) in the Prometheus text format.
 
@@ -213,38 +133,41 @@ def prometheus_exposition(
     keep their name; histograms expand into cumulative ``_bucket``
     samples (one per bound plus ``+Inf``) with ``_sum`` and ``_count``;
     info metrics render as a constant-1 gauge carrying their labels.
-    ``labels`` attaches constant labels to every sample (the federation
-    layer uses ``{"instance": ...}``).  The output terminates with the
-    OpenMetrics ``# EOF`` marker so scrapers can detect truncation.
+    The output terminates with the OpenMetrics ``# EOF`` marker so
+    scrapers can detect truncation.
     """
     snapshot = metrics.as_dict() if isinstance(metrics, MetricStore) else metrics
     families = _Families()
-    _snapshot_families(families, snapshot, prefix, labels)
-    return "\n".join(families.render() + ["# EOF"]) + "\n"
-
-
-def prometheus_federation(
-    snapshots: Mapping[str, Mapping[str, Any]] | Sequence[tuple[str, Mapping[str, Any]]],
-    prefix: str = "repro_",
-    extra_families: Iterable[tuple[str, str, str, Iterable[str]]] | None = None,
-) -> str:
-    """Render many instance snapshots as one labeled exposition.
-
-    ``snapshots`` maps instance identity to a ``MetricStore.as_dict``
-    snapshot; every sample of instance ``i`` carries ``instance="i"``.
-    Families shared between instances are announced (``# HELP`` /
-    ``# TYPE``) exactly once, with all instances' samples grouped under
-    the single header -- the text-format grammar forbids repeating
-    headers.  ``extra_families`` appends synthetic families as
-    ``(metric, kind, help, sample_lines)`` tuples; the fleet store uses
-    this for ``repro_fleet_source_up`` and friends.
-    """
-    families = _Families()
-    items = snapshots.items() if isinstance(snapshots, Mapping) else snapshots
-    for instance, snapshot in items:
-        _snapshot_families(families, snapshot, prefix, {"instance": str(instance)})
-    for metric, kind, help_text, lines in extra_families or ():
-        families.add(metric, kind, metric, lines, help_text=help_text)
+    for name, value in snapshot.get("counters", {}).items():
+        metric = _metric_name(prefix, name) + "_total"
+        families.add(metric, "counter", name, [f"{metric} {_format_value(value)}"])
+    for name, value in snapshot.get("timers", {}).items():
+        base = name[: -len("_seconds")] if name.endswith("_seconds") else name
+        metric = _metric_name(prefix, base) + "_seconds_total"
+        families.add(
+            metric, "counter", name, [f"{metric} {_format_value(float(value))}"]
+        )
+    for name, value in snapshot.get("gauges", {}).items():
+        metric = _metric_name(prefix, name)
+        families.add(metric, "gauge", name, [f"{metric} {_format_value(float(value))}"])
+    for name, data in snapshot.get("histograms", {}).items():
+        metric = _metric_name(prefix, name)
+        lines = []
+        cumulative = 0
+        for bound, count in zip(data["bounds"], data["counts"]):
+            cumulative += int(count)
+            le = _format_value(float(bound))
+            lines.append(f'{metric}_bucket{{le="{le}"}} {cumulative}')
+        cumulative += int(data["counts"][-1])
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
+        lines.append(f"{metric}_sum {_format_value(float(data['sum']))}")
+        lines.append(f"{metric}_count {cumulative}")
+        families.add(metric, "histogram", name, lines)
+    for name, info_labels in snapshot.get("infos", {}).items():
+        metric = _metric_name(prefix, name)
+        families.add(
+            metric, "gauge", name, [f"{metric}{_render_labels(info_labels)} 1"]
+        )
     return "\n".join(families.render() + ["# EOF"]) + "\n"
 
 

@@ -6,10 +6,7 @@ running process over plain HTTP -- no third-party dependency, just
 
 ``GET /metrics``
     The engine's :class:`~repro.obs.metrics.MetricStore` in Prometheus
-    text exposition format (``text/plain; version=0.0.4``).  With
-    ``?format=json`` the raw JSON snapshot (plus the server's
-    ``instance`` identity) is returned instead -- the representation
-    the fleet aggregator scrapes, since JSON snapshots merge losslessly.
+    text exposition format (``text/plain; version=0.0.4``).
 ``GET /healthz``
     JSON health summary derived from the numerical-health certificates
     recorded in the store (:func:`repro.obs.certificate.health_summary`);
@@ -19,28 +16,14 @@ running process over plain HTTP -- no third-party dependency, just
     The most recent finished spans as newline-delimited JSON (the same
     records ``Tracer.as_dicts`` emits); ``?limit=N`` tails the last
     ``N``.
-``POST /push``
-    Only with a :class:`~repro.obs.fleet.FleetStore` attached (the
-    *push-gateway mode* of ``repro obs-agg``): accepts a JSON document
-    ``{"instance": ..., "metrics": <MetricStore.as_dict>, "spans":
-    [...]}`` and folds it into the per-instance fleet state.  The
-    ``instance`` identity is mandatory.
-
-In fleet mode, ``/metrics`` renders the *federated* exposition (every
-sample labeled ``instance="..."``, plus the local store under the
-server's own instance label when it has recorded anything),
-``/healthz`` rolls up local and per-source health (503 if any source
-is degraded, down or stale), and ``/traces`` appends the fleet's
-instance-tagged span tails after the local log.
 
 Malformed query strings (non-numeric, negative or absurdly long
-``limit`` values, unknown ``format`` selectors) are rejected with 400
-rather than bubbling into a 500.
+``limit`` values) are rejected with 400 rather than bubbling into a
+500.
 
 The server is started by ``repro serve --http-port`` alongside the
-stdio request loop, standalone by ``repro obs-server``, and in fleet
-mode by ``repro obs-agg``; all shut it down gracefully (the listener
-thread is joined, the socket closed).
+stdio request loop and standalone by ``repro obs-server``; both shut
+it down gracefully (the listener thread is joined, the socket closed).
 
 Reads are snapshots under the store's lock, so scraping a server that is
 concurrently answering queries is safe.
@@ -52,7 +35,7 @@ import json
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 from urllib.parse import parse_qs
 
 from repro.obs.certificate import health_summary
@@ -60,9 +43,6 @@ from repro.obs.export import prometheus_exposition
 from repro.obs.metrics import MetricStore
 from repro.tsan.registry import guarded_by
 from repro.tsan.runtime import monitored_lock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.obs.fleet import FleetStore
 
 __all__ = ["PROMETHEUS_CONTENT_TYPE", "SpanLog", "TelemetryServer"]
 
@@ -115,9 +95,8 @@ def _parse_query(query: str) -> dict[str, str]:
     """The query string as a flat dict; junk values raise _BadRequest.
 
     Only the *parse* is validated here (single values, sane lengths);
-    per-parameter semantics (``limit`` numeric, ``format`` known) are
-    checked at the use sites via :func:`_query_limit` /
-    :func:`_query_format`.
+    per-parameter semantics (``limit`` numeric) are checked at the use
+    site via :func:`_query_limit`.
     """
     try:
         pairs = parse_qs(query, keep_blank_values=True, strict_parsing=False)
@@ -147,17 +126,6 @@ def _query_limit(params: Mapping[str, str]) -> int | None:
     return limit
 
 
-def _query_format(params: Mapping[str, str], *allowed: str) -> str | None:
-    value = params.get("format")
-    if value is None:
-        return None
-    if value not in allowed:
-        raise _BadRequest(
-            f"unknown format {value!r} (expected one of {sorted(allowed)})"
-        )
-    return value
-
-
 class _TelemetryHandler(BaseHTTPRequestHandler):
     """Request handler; routing for the telemetry endpoints."""
 
@@ -170,7 +138,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
         try:
             params = _parse_query(query)
             if path == "/metrics":
-                self._get_metrics(params)
+                self._get_metrics()
             elif path == "/healthz":
                 self._get_healthz()
             elif path == "/traces":
@@ -180,118 +148,21 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
         except _BadRequest as exc:
             self._reply_json(400, {"error": str(exc)})
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path, _, _query = self.path.partition("?")
-        try:
-            if path == "/push":
-                self._post_push()
-            else:
-                self._reply(404, "text/plain; charset=utf-8", b"not found\n")
-        except _BadRequest as exc:
-            self._reply_json(400, {"error": str(exc)})
-
     # -- GET endpoints -------------------------------------------------
-    def _get_metrics(self, params: Mapping[str, str]) -> None:
-        format_ = _query_format(params, "json")
-        fleet = self.server.fleet
-        if format_ == "json":
-            self._reply_json(
-                200,
-                {
-                    "instance": self.server.instance,
-                    "metrics": self.server.metrics.as_dict(),
-                },
-            )
-            return
-        if fleet is not None:
-            local = self.server.metrics.as_dict()
-            include_local = bool(
-                local.get("counters") or local.get("timers") or local.get("gauges")
-            )
-            text = fleet.exposition(
-                local=(self.server.instance, local) if include_local else None
-            )
-            body = text.encode("utf-8")
-        else:
-            body = prometheus_exposition(self.server.metrics).encode("utf-8")
+    def _get_metrics(self) -> None:
+        body = prometheus_exposition(self.server.metrics).encode("utf-8")
         self._reply(200, PROMETHEUS_CONTENT_TYPE, body)
 
     def _get_healthz(self) -> None:
         summary = health_summary(self.server.metrics)
-        fleet = self.server.fleet
-        if fleet is not None:
-            rollup = fleet.health()
-            status = (
-                "ok"
-                if summary.get("status") == "ok" and rollup["status"] == "ok"
-                else "degraded"
-            )
-            payload: dict[str, Any] = {
-                "status": status,
-                "local": summary,
-                "fleet": rollup["fleet"],
-                "sources": rollup["sources"],
-            }
-        else:
-            payload = summary
-            status = summary.get("status", "degraded")
-        self._reply_json(200 if status == "ok" else 503, payload)
+        status = summary.get("status", "degraded")
+        self._reply_json(200 if status == "ok" else 503, summary)
 
     def _get_traces(self, params: Mapping[str, str]) -> None:
-        limit = _query_limit(params)
-        records = self.server.span_log.tail(limit)
-        if self.server.fleet is not None:
-            records = records + self.server.fleet.traces(limit)
-            if limit is not None:
-                records = records[max(0, len(records) - limit):]
+        records = self.server.span_log.tail(_query_limit(params))
         lines = [json.dumps(record) for record in records]
         body = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
         self._reply(200, "application/x-ndjson", body)
-
-    # -- POST /push ----------------------------------------------------
-    def _post_push(self) -> None:
-        from repro.obs.fleet import MAX_PUSH_BYTES
-
-        fleet = self.server.fleet
-        if fleet is None:
-            self._reply(
-                404,
-                "text/plain; charset=utf-8",
-                b"push gateway not enabled on this server\n",
-            )
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            raise _BadRequest("missing or non-numeric Content-Length") from None
-        if length < 0 or length > MAX_PUSH_BYTES:
-            self._reply_json(
-                413, {"error": f"push body of {length} bytes exceeds the cap"}
-            )
-            return
-        raw = self.rfile.read(length)
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _BadRequest(f"push body is not valid JSON: {exc}") from None
-        if not isinstance(document, dict):
-            raise _BadRequest("push body must be a JSON object")
-        instance = document.get("instance")
-        if not isinstance(instance, str) or not instance.strip():
-            raise _BadRequest("push requires a non-empty string 'instance'")
-        metrics = document.get("metrics")
-        if not isinstance(metrics, dict):
-            raise _BadRequest("push requires a 'metrics' snapshot object")
-        spans = document.get("spans")
-        if spans is not None and not (
-            isinstance(spans, list)
-            and all(isinstance(record, dict) for record in spans)
-        ):
-            raise _BadRequest("'spans' must be a list of span objects")
-        state = fleet.record_push(instance.strip(), metrics, spans=spans)
-        self._reply_json(
-            200, {"ok": True, "instance": state.instance, "pushes": state.pushes}
-        )
 
     # -- plumbing ------------------------------------------------------
     def _reply(self, status: int, content_type: str, body: bytes) -> None:
@@ -320,11 +191,6 @@ class TelemetryServer(ThreadingHTTPServer):
 
         with TelemetryServer(engine.metrics) as server:
             urllib.request.urlopen(f"{server.url}/metrics")
-
-    With a :class:`~repro.obs.fleet.FleetStore` attached the server
-    additionally acts as push gateway and federation front-end (see the
-    module docstring); ``instance`` names the local store in federated
-    output and the ``/metrics?format=json`` snapshot.
     """
 
     daemon_threads = True
@@ -335,17 +201,9 @@ class TelemetryServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         span_log: SpanLog | None = None,
-        fleet: "FleetStore | None" = None,
-        instance: str | None = None,
     ) -> None:
         self.metrics = metrics
         self.span_log = span_log if span_log is not None else SpanLog()
-        self.fleet = fleet
-        if instance is None:
-            from repro.obs.fleet import default_instance
-
-            instance = default_instance()
-        self.instance = instance
         self._thread: threading.Thread | None = None
         self._lock = monitored_lock("TelemetryServer._lock")
         super().__init__((host, port), _TelemetryHandler)

@@ -261,18 +261,12 @@ class MetricStore:
         """The snapshot serialised as a JSON string."""
         return json.dumps(self.as_dict(), indent=indent)
 
-    def prometheus(
-        self, prefix: str = "repro_", labels: Mapping[str, str] | None = None
-    ) -> str:
-        """The store rendered in the Prometheus/OpenMetrics text format.
-
-        ``labels`` attaches constant labels (e.g. an ``instance``
-        identity) to every sample -- see
-        :func:`repro.obs.export.prometheus_exposition`.
-        """
+    def prometheus(self, prefix: str = "repro_") -> str:
+        """The store rendered in the Prometheus/OpenMetrics text format
+        (see :func:`repro.obs.export.prometheus_exposition`)."""
         from repro.obs.export import prometheus_exposition
 
-        return prometheus_exposition(self, prefix=prefix, labels=labels)
+        return prometheus_exposition(self, prefix=prefix)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:

@@ -1,10 +1,9 @@
 """Concurrency sanitation (``repro.tsan``): lock discipline, statically and at runtime.
 
 The reproduction is a long-lived concurrent service: ``repro serve``
-answers queries while a ``ThreadingHTTPServer`` scrapes ``/metrics``,
-the fleet gateway folds ``POST /push`` bodies into a shared
-:class:`~repro.obs.fleet.FleetStore`, and pool workers ship span and
-metric snapshots back to the parent.  A silent race in any of those
+answers queries while a ``ThreadingHTTPServer`` scrapes ``/metrics``
+and ``/traces``, and pool workers ship span and metric snapshots back
+to the parent.  A silent race in any of those
 paths corrupts exactly the certificates and ledgers the trend gate
 trusts.  ``repro.lint`` (PR 2) checks *models*; this package checks the
 *code that serves them*, in the same spirit in which confluence and

@@ -1,7 +1,7 @@
 """Seeded context-switch fuzzing: deterministic thread interleavings.
 
-Real races hide behind the scheduler: a lost update in
-``FleetStore.record_push`` needs two threads inside the same
+Real races hide behind the scheduler: a lost update in an unlocked
+counter increment needs two threads inside the same
 read-modify-write window, which free-running tests hit once in a
 thousand runs.  :class:`InterleavingHarness` removes the luck.  It runs
 the registered thread bodies under a *single-token* discipline — at any
@@ -295,7 +295,7 @@ def find_racy_seed(
     ``build`` wires bodies into a *fresh* harness and returns a
     zero-argument checker evaluated after the run (``True`` = race
     observed).  Used by tests to pin a witnessing seed, and by the CI
-    ``tsan`` job to prove the planted FleetStore race reproduces.
+    ``tsan`` job to prove the planted lost-update race reproduces.
     """
     for seed in seeds:
         harness = InterleavingHarness(seed=seed)

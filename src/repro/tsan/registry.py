@@ -3,8 +3,8 @@
 The contract is deliberately *declarative*.  A class that owns a
 ``threading.Lock`` states, once, next to its definition::
 
-    @guarded_by("_lock", "_sources", "_pushes")
-    class FleetStore:
+    @guarded_by("_lock", "_records")
+    class SpanLog:
         ...
 
 and the declaration is consumed twice:

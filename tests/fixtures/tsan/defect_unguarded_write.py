@@ -1,13 +1,12 @@
 """Planted defect: guarded attribute written without its lock (T001).
 
-``RacyFleetStore`` is a pocket-sized model of the real
-:class:`repro.obs.fleet.FleetStore` with the classic lost-update bug:
-``record_push`` performs an unlocked read-modify-write on ``_pushes``,
-so two concurrent pushes can both read the same old count and one
-increment vanishes.  The file doubles as
+``RacyEventLog`` is a pocket-sized event log with the classic
+lost-update bug: ``record`` performs an unlocked read-modify-write on
+``_count``, so two concurrent records can both read the same old count
+and one increment vanishes.  The file doubles as
 
 * a static-analysis target: ``repro lint defect_unguarded_write.py``
-  must flag the unlocked accesses in ``record_push`` as ``T001``; and
+  must flag the unlocked accesses in ``record`` as ``T001``; and
 * a runtime reproducer: the interleaving harness in
   ``tests/tsan/test_harness.py`` pins a seed where the lost update
   actually happens.
@@ -20,22 +19,22 @@ import threading
 from repro.tsan import guarded_by
 
 
-@guarded_by("_lock", "_pushes", "_payloads")
-class RacyFleetStore:
-    """A fleet store whose push path forgot to take its lock."""
+@guarded_by("_lock", "_count", "_payloads")
+class RacyEventLog:
+    """An event log whose record path forgot to take its lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pushes = 0
+        self._count = 0
         self._payloads: list[str] = []
 
-    def record_push(self, payload: str) -> int:
+    def record(self, payload: str) -> int:
         # BUG: read-modify-write of guarded state without self._lock.
-        count = self._pushes + 1
-        self._pushes = count
+        count = self._count + 1
+        self._count = count
         self._payloads.append(payload)
         return count
 
     def snapshot(self) -> tuple[int, tuple[str, ...]]:
         with self._lock:
-            return self._pushes, tuple(self._payloads)
+            return self._count, tuple(self._payloads)

@@ -1,13 +1,11 @@
-"""Tests for the IMC linter (via the ``repro.imc.checks`` compat facade).
+"""Tests for the IMC linter (:func:`repro.lint.lint_imc`).
 
-The linter moved into :mod:`repro.lint.analyzers` and now emits stable
-codes instead of slugs; this suite covers the same scenarios under the
-new codes and pins the backwards-compatible re-exports.
+Covers the deadlock, Zeno, uniformity, visibility and reachability
+scenarios under their stable ``Axxx``/``Uxxx``/``Sxxx`` codes.
 """
 
-from repro.imc.checks import Finding, Severity, lint_imc
 from repro.imc.model import IMC, TAU
-from repro.lint import Diagnostic
+from repro.lint import Severity, lint_imc
 from repro.models.ftwc import build_system_imc
 
 
@@ -17,19 +15,6 @@ def codes(findings, severity=None):
         for f in findings
         if severity is None or f.severity is severity
     }
-
-
-class TestCompatFacade:
-    def test_finding_is_diagnostic(self):
-        assert Finding is Diagnostic
-
-    def test_findings_carry_legacy_fields(self):
-        imc = IMC(num_states=1, interactive=[(0, TAU, 0)])
-        finding = lint_imc(imc)[0]
-        assert finding.severity is Severity.ERROR
-        assert isinstance(finding.code, str)
-        assert isinstance(finding.message, str)
-        assert isinstance(finding.states, tuple)
 
 
 class TestLint:

@@ -143,21 +143,6 @@ class TestQueryValidation:
         payload = json.loads(excinfo.value.read())
         assert "error" in payload
 
-    def test_unknown_metrics_format_is_400(self, store):
-        with TelemetryServer(store) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    f"{server.url}/metrics?format=xml", timeout=5.0
-                )
-        assert excinfo.value.code == 400
-
-    def test_json_metrics_snapshot_carries_instance(self, store):
-        with TelemetryServer(store, instance="me") as server:
-            _status, _headers, body = _get(f"{server.url}/metrics?format=json")
-        payload = json.loads(body)
-        assert payload["instance"] == "me"
-        assert payload["metrics"]["counters"]["queries_total"] == 3
-
     def test_valid_limit_still_works(self, store):
         log = SpanLog()
         log.extend([{"name": f"s{i}"} for i in range(5)])

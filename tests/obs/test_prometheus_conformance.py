@@ -20,7 +20,6 @@ from repro.obs import (
     escape_label_value,
     prometheus_exposition,
 )
-from repro.obs.export import prometheus_federation
 
 #: Label values chosen to break naive exposition renderers: embedded
 #: quotes, backslashes, newlines, and combinations that collide with
@@ -130,15 +129,6 @@ class TestHostileLabels:
             )
             assert unescaped == value, f"not round-trippable: {value!r}"
 
-    def test_hostile_constant_labels_keep_grammar(self):
-        for value in HOSTILE_LABEL_VALUES:
-            text = prometheus_exposition(
-                _populated_store(), labels={"instance": value}
-            )
-            for line in text.splitlines():
-                if not line.startswith("#"):
-                    assert _SAMPLE_RE.match(line), f"malformed: {line!r}"
-
     def test_hostile_info_labels_keep_grammar(self):
         store = MetricStore()
         for index, value in enumerate(HOSTILE_LABEL_VALUES):
@@ -147,46 +137,6 @@ class TestHostileLabels:
         for line in text.splitlines():
             if not line.startswith("#"):
                 assert _SAMPLE_RE.match(line), f"malformed: {line!r}"
-
-    def test_hostile_instance_names_in_federation(self):
-        snapshots = [
-            (value or "empty", _populated_store().as_dict())
-            for value in HOSTILE_LABEL_VALUES
-        ]
-        text = prometheus_federation(snapshots)
-        assert text.endswith("# EOF\n")
-        for line in text.splitlines():
-            if line.startswith("#"):
-                continue
-            assert _SAMPLE_RE.match(line), f"malformed: {line!r}"
-            assert "instance=" in line
-
-    def test_federation_single_header_per_family(self):
-        snapshots = [
-            ("a", _populated_store().as_dict()),
-            ("b", _populated_store().as_dict()),
-        ]
-        text = prometheus_federation(snapshots)
-        lines = text.splitlines()
-        help_names = [line.split()[2] for line in lines if line.startswith("# HELP ")]
-        assert len(help_names) == len(set(help_names)), "duplicate HELP headers"
-        type_names = [line.split()[2] for line in lines if line.startswith("# TYPE ")]
-        assert len(type_names) == len(set(type_names)), "duplicate TYPE headers"
-        assert 'repro_queries_total_total{instance="a"} 7' in text
-        assert 'repro_queries_total_total{instance="b"} 7' in text
-
-    def test_federation_histogram_le_composes_with_instance(self):
-        text = prometheus_federation([("w", _populated_store().as_dict())])
-        bucket_lines = [
-            line
-            for line in text.splitlines()
-            if line.startswith("repro_certificate_error_bound_bucket")
-        ]
-        assert bucket_lines, "histogram buckets missing from federation"
-        for line in bucket_lines:
-            assert 'instance="w"' in line
-            assert "le=" in line
-            assert _SAMPLE_RE.match(line), f"malformed: {line!r}"
 
 
 class TestHistogramConsistency:

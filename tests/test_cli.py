@@ -417,47 +417,6 @@ class TestBenchTrendCommand:
         assert main(["bench", "trend", "--ledger", str(ledger)]) == 2
 
 
-class TestObsAggCommand:
-    def test_bad_scrape_target_is_usage_error(self, capsys):
-        assert main(["obs-agg", "--scrape", "name=", "--duration", "0"]) == 2
-        assert "bad --scrape target" in capsys.readouterr().err
-
-    def test_gateway_round_trip(self, capsys):
-        import threading
-        import urllib.request
-
-        from repro.obs.fleet import push_snapshot
-
-        # Run the gateway long enough for one push, on an ephemeral port.
-        result: dict[str, int] = {}
-
-        def run() -> None:
-            result["code"] = main(["obs-agg", "--port", "0", "--duration", "2.5"])
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        try:
-            import re
-            import time
-
-            url = None
-            for _ in range(50):
-                err = capsys.readouterr().err
-                match = re.search(r"listening on (http://\S+)", err)
-                if match:
-                    url = match.group(1)
-                    break
-                time.sleep(0.05)
-            assert url, "gateway never announced its URL"
-            assert push_snapshot(url, {"counters": {"queries_total": 4}}, instance="w")
-            with urllib.request.urlopen(f"{url}/metrics", timeout=5.0) as response:
-                body = response.read().decode("utf-8")
-            assert 'repro_queries_total_total{instance="w"} 4' in body
-        finally:
-            thread.join(timeout=10.0)
-        assert result["code"] == 0
-
-
 class TestServeCommand:
     def test_serve_round_trip(self, monkeypatch, capsys):
         requests = [

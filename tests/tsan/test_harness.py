@@ -140,16 +140,16 @@ class TestCooperativeLock:
 
 
 class TestPlantedRace:
-    """The acceptance criterion: the planted FleetStore race reproduces
+    """The acceptance criterion: the planted lost-update race reproduces
     deterministically under a fixed seed."""
 
     def build_racy(self, harness: InterleavingHarness):
         fixture = load_fixture("defect_unguarded_write")
-        store = fixture.RacyFleetStore()
+        log = fixture.RacyEventLog()
         harness.trace(fixture.__file__)
-        harness.add(lambda: store.record_push("a"), name="pusher-a")
-        harness.add(lambda: store.record_push("b"), name="pusher-b")
-        return lambda: store.snapshot()[0] != 2  # lost update observed
+        harness.add(lambda: log.record("a"), name="writer-a")
+        harness.add(lambda: log.record("b"), name="writer-b")
+        return lambda: log.snapshot()[0] != 2  # lost update observed
 
     def test_find_racy_seed_pins_a_witness(self):
         seed = find_racy_seed(self.build_racy, SEED_RANGE)
@@ -176,24 +176,24 @@ class TestPlantedRace:
         fixture = load_fixture("defect_unguarded_write")
 
         def build_fixed(harness: InterleavingHarness):
-            store = fixture.RacyFleetStore()
-            lock = harness.lock("RacyFleetStore._lock")
-            store._lock = lock
-            original = store.record_push
+            log = fixture.RacyEventLog()
+            lock = harness.lock("RacyEventLog._lock")
+            log._lock = lock
+            original = log.record
 
-            def locked_push(payload: str) -> int:
+            def locked_record(payload: str) -> int:
                 with lock:
-                    count = store._pushes + 1
-                    store._pushes = count
-                    store._payloads.append(payload)
+                    count = log._count + 1
+                    log._count = count
+                    log._payloads.append(payload)
                     return count
 
-            store.record_push = locked_push
-            assert original is not locked_push
+            log.record = locked_record
+            assert original is not locked_record
             harness.trace(fixture.__file__, __file__)
-            harness.add(lambda: store.record_push("a"), name="pusher-a")
-            harness.add(lambda: store.record_push("b"), name="pusher-b")
-            return lambda: store.snapshot()[0] != 2
+            harness.add(lambda: log.record("a"), name="writer-a")
+            harness.add(lambda: log.record("b"), name="writer-b")
+            return lambda: log.snapshot()[0] != 2
 
         assert find_racy_seed(build_fixed, SEED_RANGE) is None
 

@@ -70,7 +70,7 @@ class TestPlantedFixtures:
         assert {d.code for d in diagnostics} == {"T001"}
         # Both the read and the write of the read-modify-write window.
         messages = "\n".join(d.message for d in diagnostics)
-        assert "_pushes" in messages and "RacyFleetStore._lock" in messages
+        assert "_count" in messages and "RacyEventLog._lock" in messages
 
     def test_lock_cycle_is_t002(self):
         diagnostics = lint_source([FIXTURES / "defect_lock_cycle.py"])
