@@ -2,17 +2,20 @@
 
 The compositional FTWC route spends most of its time in repeated
 branching-bisimulation quotients (``repro profile`` attributed ~80% of
-the build to the naive signature engine before the worklist engine
+the build to the naive signature refinement before the worklist engine
 existed).  This benchmark replays exactly that workload: it records
 every ``(model, labels)`` pair the N=3 compositional build passes to
-the refinement, then times both engines over the recorded sequence --
-isolating refinement from composition and quotient construction, which
-the two engines share.
+the refinement, then times the worklist engine and the naive test
+oracle over the recorded sequence -- isolating refinement from
+composition and quotient construction.
 
 Every run appends wall times and the speedup to the
 ``BENCH_bisim.json`` ledger in the repository root (git commit + UTC
 timestamp), so the series shows regressions rather than one snapshot.
-The engines' partitions are asserted equal on every recorded model.
+The two partitions are asserted equal on every recorded model.
+
+Run it from the repository root as ``python -m pytest
+benchmarks/test_bench_bisim.py`` so that ``tests.oracles`` is importable.
 """
 
 import time
@@ -21,8 +24,8 @@ from pathlib import Path
 import numpy as np
 from _ledger import append_run
 
-import repro.bisim.branching as branching
-from repro.models.ftwc import build_system_imc
+from repro.bisim.branching import branching_bisimulation
+from tests.oracles.bisim import naive_branching_bisimulation, record_minimisation_workload
 
 N = 3
 WORKLIST_REPEATS = 3
@@ -32,46 +35,28 @@ NAIVE_REPEATS = 2
 MIN_SPEEDUP = 2.0
 
 
-def _record_minimisation_workload():
-    """The (model, labels) pairs minimised by the N=3 compositional build."""
-    recorded = []
-    original = branching.branching_bisimulation
-
-    def recording(imc, labels=None, engine="worklist", metrics=None):
-        recorded.append((imc, list(labels) if labels is not None else None))
-        return original(imc, labels, engine=engine, metrics=metrics)
-
-    branching.branching_bisimulation = recording
-    try:
-        build_system_imc(N, minimize_intermediate=True, engine="worklist")
-    finally:
-        branching.branching_bisimulation = original
-    return recorded
-
-
-def _time_engine(workload, engine, repeats):
+def _time_engine(workload, refine, repeats):
     best = float("inf")
     partitions = None
     for _ in range(repeats):
         started = time.perf_counter()
-        partitions = [
-            branching.branching_bisimulation(imc, labels, engine=engine)
-            for imc, labels in workload
-        ]
+        partitions = [refine(imc, labels) for imc, labels in workload]
         best = min(best, time.perf_counter() - started)
     return best, partitions
 
 
 def test_worklist_speedup_on_ftwc_minimisation():
-    workload = _record_minimisation_workload()
+    workload = record_minimisation_workload(N)
     sizes = [imc.num_states for imc, _ in workload]
 
     worklist_seconds, worklist_parts = _time_engine(
-        workload, "worklist", WORKLIST_REPEATS
+        workload, branching_bisimulation, WORKLIST_REPEATS
     )
-    naive_seconds, naive_parts = _time_engine(workload, "naive", NAIVE_REPEATS)
+    naive_seconds, naive_parts = _time_engine(
+        workload, naive_branching_bisimulation, NAIVE_REPEATS
+    )
 
-    # Correctness first: both engines compute the identical partitions.
+    # Correctness first: engine and oracle compute identical partitions.
     for left, right in zip(worklist_parts, naive_parts):
         np.testing.assert_array_equal(left.block_of, right.block_of)
 
@@ -99,6 +84,6 @@ def test_worklist_speedup_on_ftwc_minimisation():
         f"naive {naive_seconds:.3f} s ({speedup:.2f}x)"
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"worklist engine only {speedup:.2f}x faster than the naive engine "
+        f"worklist engine only {speedup:.2f}x faster than the naive oracle "
         f"(expected >= {MIN_SPEEDUP}x on the FTWC minimisation workload)"
     )

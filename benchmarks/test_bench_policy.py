@@ -5,9 +5,10 @@
   10x smaller than the dense ``iterations x states`` int32 matrix.
 * **Streaming overhead** -- recording through the compressed writer
   must add less than 10% wall time over the dense recorder it replaced
-  (computing the per-step argbest is the cost of extraction itself and
-  is paid by both formats; the ledger records the plain-solve overhead
-  too, for the series).
+  (the test oracle :class:`tests.oracles.policy.DenseWriter`; computing
+  the per-step argbest is the cost of extraction itself and is paid by
+  both formats; the ledger records the plain-solve overhead too, for
+  the series).
 * **Replay fidelity** -- fixing the stored scheduler and replaying the
   induced chain must reproduce the solver's probability within the
   solver's epsilon, under a healthy certificate.
@@ -15,6 +16,9 @@
 Every run appends compression ratios and replay throughput to the
 ``BENCH_policy.json`` ledger in the repository root (git commit +
 timestamp), so the series shows regressions rather than one snapshot.
+
+Run it from the repository root as ``python -m pytest
+benchmarks/test_bench_policy.py`` so that ``tests.oracles`` is importable.
 """
 
 import time
@@ -29,6 +33,7 @@ from repro.core.reachability import (
 )
 from repro.models import ftwc_direct
 from repro.policy.store import PolicyWriter
+from tests.oracles.policy import dense_recording
 
 N = 4
 T = 100.0
@@ -56,15 +61,14 @@ def _prepared():
     return model, PreparedTimedReachability(model.ctmdp, model.goal_mask)
 
 
-def test_policy_pipeline_end_to_end():
+def test_policy_pipeline_end_to_end(monkeypatch):
     model, prepared = _prepared()
 
     plain_seconds, plain = _best_of(lambda: prepared.solve(T, epsilon=EPSILON))
-    dense_seconds, dense = _best_of(
-        lambda: prepared.solve(
-            T, epsilon=EPSILON, record_scheduler=True, scheduler_format="dense"
+    with dense_recording(monkeypatch):
+        dense_seconds, dense = _best_of(
+            lambda: prepared.solve(T, epsilon=EPSILON, record_scheduler=True)
         )
-    )
     recorded_seconds, recorded = _best_of(
         lambda: prepared.solve(T, epsilon=EPSILON, record_scheduler=True)
     )

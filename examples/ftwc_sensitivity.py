@@ -17,7 +17,7 @@ from repro.analysis.sweeps import (
     sweep_failure_rate,
     sweep_repair_speed,
 )
-from repro.core import expected_reachability_time
+from repro.core import expected_time_analysis
 from repro.models.ftwc_direct import build_ctmdp
 
 
@@ -50,8 +50,8 @@ def main() -> None:
     model = build_ctmdp(2)
     # The goal is the BAD event, so the adversary minimises the hitting
     # time and the best repair policy maximises it.
-    soonest = expected_reachability_time(model.ctmdp, model.goal_mask, "min")
-    latest = expected_reachability_time(model.ctmdp, model.goal_mask, "max")
+    soonest = expected_time_analysis(model.ctmdp, model.goal_mask, "min").values
+    latest = expected_time_analysis(model.ctmdp, model.goal_mask, "max").values
     start = model.ctmdp.initial
     print(f"  worst repair policy (soonest outage): {soonest[start]:10.1f} h")
     print(f"  best repair policy  (latest outage) : {latest[start]:10.1f} h")

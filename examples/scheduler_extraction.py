@@ -36,8 +36,8 @@ def main() -> None:
     for t in (0.01, 0.05, 0.2, 0.5, 1.0, 2.0):
         result = timed_reachability(ctmdp, goal, t, epsilon=1e-10, record_scheduler=True)
         stationary = max(
-            ctmc_reachability(direct, [2], t, epsilon=1e-12)[0],
-            ctmc_reachability(detour, [2], t, epsilon=1e-12)[0],
+            ctmc_reachability(direct, [2], t, epsilon=1e-12).values[0],
+            ctmc_reachability(detour, [2], t, epsilon=1e-12).values[0],
         )
         first_choice = labels[result.decisions[0][0]]
         print(

@@ -62,8 +62,10 @@ def _check_ctmc_agreement() -> CheckOutcome:
     mdp_value = float(
         np.max(
             [
-                ctmc_reachability(chain, goal, t, epsilon=1e-12)[0],
-                ctmc_reachability(ctmdp.induced_ctmc([1, 0, 0]), goal, t, epsilon=1e-12)[0],
+                ctmc_reachability(chain, goal, t, epsilon=1e-12).values[0],
+                ctmc_reachability(
+                    ctmdp.induced_ctmc([1, 0, 0]), goal, t, epsilon=1e-12
+                ).values[0],
             ]
         )
     )
@@ -117,7 +119,7 @@ def _check_figure4_relationship() -> CheckOutcome:
     chain, _configs, goal = build_ctmc(1, gamma=10.0)
     t = 100.0
     sup = timed_reachability(model.ctmdp, model.goal_mask, t, epsilon=1e-8).value(0)
-    approx = float(ctmc_reachability(chain, goal, t, epsilon=1e-10)[0])
+    approx = float(ctmc_reachability(chain, goal, t, epsilon=1e-10).values[0])
     return CheckOutcome(
         name="CTMC overestimates the worst case (Figure 4)",
         passed=approx > sup,

@@ -1,11 +1,6 @@
 """Bisimulations: partition refinement, strong & branching variants, lumping."""
 
-from repro.bisim.branching import (
-    ENGINES,
-    branching_bisimulation,
-    branching_minimize,
-    is_stochastic_branching_bisimulation,
-)
+from repro.bisim.branching import branching_bisimulation, branching_minimize
 from repro.bisim.compare import are_branching_bisimilar, are_strongly_bisimilar, disjoint_union
 from repro.bisim.ctmdp_bisim import ctmdp_bisimulation, ctmdp_equivalent, ctmdp_minimize
 from repro.bisim.lumping import lump, lumping_partition
@@ -20,10 +15,8 @@ __all__ = [
     "are_branching_bisimilar",
     "are_strongly_bisimilar",
     "disjoint_union",
-    "ENGINES",
     "branching_bisimulation",
     "branching_minimize",
-    "is_stochastic_branching_bisimulation",
     "ctmdp_bisimulation",
     "ctmdp_equivalent",
     "ctmdp_minimize",

@@ -24,15 +24,16 @@ identified when they agree to about one part in ``2**30 ~ 1e9``,
 independent of magnitude.  The quantisation is implemented with exact
 float operations only (``frexp``/``ldexp``, scaling by powers of two),
 so the scalar form and the vectorised numpy form used by the worklist
-refinement engine are bitwise identical -- the two engines can never
-disagree on a signature because of the arithmetic route taken.
+refinement engine are bitwise identical -- the engine and its
+reference refinement can never disagree on a signature because of the
+arithmetic route taken.
 
 Like every grid scheme, quantisation can still separate two values that
 straddle a grid-cell boundary while lying within tolerance of each
 other; that failure mode needs the *true* sums to differ by more than
 their float error yet less than one part in ``2**30``, which no model
 builder in this repository produces.  The property-based test suite
-cross-checks the refinement engines under exactly this scheme.
+cross-checks the refinement engine under exactly this scheme.
 """
 
 from __future__ import annotations

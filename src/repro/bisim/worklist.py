@@ -1,15 +1,15 @@
 """Worklist-based branching-bisimulation refinement (the fast engine).
 
-``repro profile`` showed the naive signature engine of
-:mod:`repro.bisim.branching` dominating compositional runs at ~80% self
-time: every round it rebuilds the full inert-``tau`` graph, recomputes
+``repro profile`` showed a naive signature refinement dominating
+compositional runs at ~80% self time: every round it rebuilds the full
+inert-``tau`` graph, recomputes
 the SCC condensation of the *whole* state space, and re-hashes
 per-state frozenset-of-frozenset signatures in Python loops -- even for
 blocks that no split could possibly have touched.
 
-This module keeps the naive engine's *round semantics* (synchronous
-signature refinement, so the two engines walk through bitwise-identical
-partition sequences) but makes each round incremental and vectorised:
+This module keeps the naive refinement's *round semantics* (synchronous
+signature refinement, so both walk through bitwise-identical partition
+sequences) but makes each round incremental and vectorised:
 
 * the interactive/Markov adjacency is encoded **once** into CSR-style
   numpy arrays (following the ``repro.graph.structure.TransitionGraph``
@@ -28,14 +28,15 @@ partition sequences) but makes each round incremental and vectorised:
   ``(block, quantised rate)`` sets for stable states -- instead of
   hashing nested frozensets; cumulative rates use the shared
   quantisation of :mod:`repro.bisim.signatures` and are bitwise
-  identical to the naive engine's ``fsum``-based sums.
+  identical to the naive refinement's ``fsum``-based sums.
 
 Every round is wrapped in a ``bisim.refine.round`` span and the whole
 refinement in a ``bisim.refine`` span (attributes: round number, dirty
 state count, block count, splits), so ``repro profile`` attributes the
-cost -- and the win -- per round.  The property-based test suite
-cross-checks that this engine and the naive engine compute equal
-partitions on random IMCs.
+cost -- and the win -- per round.  The naive refinement survives as a
+test oracle (``tests/oracles/bisim.py``); the property-based test suite
+cross-checks that it and this engine compute equal partitions on random
+IMCs.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _refine_round(
     # Quantised cumulative-rate signatures of dirty stable states,
     # grouped per (state, target block) by lexsort.  Rates are sorted
     # ascending inside each group; multi-contribution groups fold with
-    # math.fsum so the sums are bitwise those of the naive engine.
+    # math.fsum so the sums are bitwise those of the naive refinement.
     midx, m_src = _gather(enc.m_ptr, dirty)
     if len(midx):
         m_rate, m_tblock = enc.m_rate[midx], block_of[enc.m_dst[midx]]
@@ -306,8 +307,9 @@ def worklist_refine(
 ) -> Partition:
     """Refine ``initial`` to the branching-signature fixpoint.
 
-    Computes the same fixpoint as the naive engine (round-for-round the
-    identical partition sequence), touching only dirty blocks per round.
+    Computes the same fixpoint as the naive signature refinement
+    (round-for-round the identical partition sequence), touching only
+    dirty blocks per round.
     ``metrics``, when given, receives ``bisim_rounds``, ``bisim_splits``
     and ``bisim_states_rescanned`` counters.
     """
@@ -320,7 +322,7 @@ def worklist_refine(
     rescanned = 0
     total_splits = 0
     with span(
-        "bisim.refine", engine="worklist", states=imc.num_states, blocks=num_blocks
+        "bisim.refine", states=imc.num_states, blocks=num_blocks
     ) as refine_span:
         while len(dirty):
             rounds += 1

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="evaluate a CSL-style query on the FTWC "
         '(labels: "no_premium", "premium"; exit 0 satisfied, 1 violated, '
-        "3 quantitative/no verdict)",
+        "2 usage error, 3 quantitative/no verdict)",
     )
     query.add_argument("query", help='e.g. Pmax=? [ F<=100 "no_premium" ]')
     query.add_argument("--n", type=int, default=2)
@@ -465,6 +465,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.logic import check
     from repro.models.ftwc_direct import build_ctmc, build_ctmdp
 
@@ -475,11 +476,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         built = build_ctmdp(args.n)
         model, mask = built.ctmdp, built.goal_mask
     labels = {"no_premium": mask, "premium": ~mask}
-    result = check(
-        args.query, model, labels, epsilon=args.epsilon,
-        record_scheduler=bool(args.save_policy),
-        precompute=args.precompute,
-    )
+    try:
+        result = check(
+            args.query, model, labels, epsilon=args.epsilon,
+            record_scheduler=bool(args.save_policy),
+            precompute=args.precompute,
+        )
+    except ReproError as exc:
+        print(f"cannot check {args.query!r}: {exc}", file=sys.stderr)
+        return 2
     print(result)
     if result.certificate is not None:
         print(result.certificate.describe())

@@ -6,8 +6,7 @@ from repro.core.reachability import (
     timed_reachability,
     unbounded_reachability,
 )
-from repro.core.expected_time import expected_reachability_time
-from repro.core.qualitative import almost_sure_max, almost_sure_min, cannot_reach
+from repro.core.expected_time import expected_time_analysis
 from repro.core.until import timed_until
 from repro.core.uniformity import uniformize_ctmdp
 from repro.core.scheduler import (
@@ -31,8 +30,5 @@ __all__ = [
     "greedy_scheduler_from_decisions",
     "uniformize_ctmdp",
     "timed_until",
-    "expected_reachability_time",
-    "almost_sure_max",
-    "almost_sure_min",
-    "cannot_reach",
+    "expected_time_analysis",
 ]

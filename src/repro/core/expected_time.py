@@ -30,14 +30,14 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.qualitative import almost_sure_max, almost_sure_min
-from repro.core.reachability import _goal_mask
 from repro.errors import ModelError, NonUniformError
+from repro.graph.qualitative import prob1_exists, prob1_forall
+from repro.graph.structure import TransitionGraph
 from repro.obs import NumericalCertificate, iterative_certificate
+from repro.states import state_mask
 
 __all__ = [
     "ExpectedTimeResult",
-    "expected_reachability_time",
     "expected_time_analysis",
 ]
 
@@ -77,22 +77,6 @@ def _proper_initial_policy(
                     changed = True
                     break
     return policy
-
-
-def expected_reachability_time(
-    ctmdp: CTMDP,
-    goal: Iterable[int] | np.ndarray,
-    objective: str = "min",
-    max_policy_iterations: int = 10_000,
-) -> np.ndarray:
-    """Optimal expected time, per state, until ``goal`` is first hit.
-
-    Kept for callers that only want the bare value vector; delegates to
-    :func:`expected_time_analysis` so both paths are bitwise-identical.
-    """
-    return expected_time_analysis(
-        ctmdp, goal, objective=objective, max_policy_iterations=max_policy_iterations
-    ).values
 
 
 def expected_time_analysis(
@@ -139,7 +123,7 @@ def expected_time_analysis(
     """
     if objective not in ("max", "min"):
         raise ModelError(f"objective must be 'max' or 'min', got {objective!r}")
-    mask = _goal_mask(ctmdp, goal)
+    mask = state_mask(ctmdp.num_states, goal, "goal state")
     n = ctmdp.num_states
     if not mask.any():
         return ExpectedTimeResult(
@@ -156,11 +140,12 @@ def expected_time_analysis(
 
     # Finiteness (decided qualitatively, on the graph): max E[T] is
     # finite iff *every* scheduler reaches B almost surely, min E[T] iff
-    # *some* scheduler does.
+    # *some* scheduler does (Prob1A / Prob1E).
+    graph = TransitionGraph.from_ctmdp(ctmdp)
     if objective == "max":
-        finite = almost_sure_min(ctmdp, mask) | mask
+        finite = prob1_forall(graph, mask) | mask
     else:
-        finite = almost_sure_max(ctmdp, mask) | mask
+        finite = prob1_exists(graph, mask) | mask
 
     import scipy.sparse as sp
     import scipy.sparse.linalg

@@ -58,30 +58,15 @@ from repro.obs import NumericalCertificate, certificate_from_foxglynn, sweep_spa
 # solvers), so importing it here cannot cycle; the rest of repro.policy
 # *does* import this module and stays behind lazy attributes.
 from repro.policy.store import CompressedDecisions, PolicyWriter
+from repro.states import state_mask
 
 __all__ = [
     "ReachabilityResult",
     "PreparedTimedReachability",
     "timed_reachability",
     "unbounded_reachability",
-    "evaluate_step_scheduler",
     "replay_step_scheduler",
 ]
-
-#: Decision-recording formats accepted by ``scheduler_format=``:
-#: ``"compressed"`` streams rows into a :class:`CompressedDecisions`
-#: store as the sweep runs (the default -- peak memory no longer scales
-#: as ``iterations x states``); ``"dense"`` keeps the historical int32
-#: matrix and exists for the bitwise equivalence tests.
-SCHEDULER_FORMATS = ("compressed", "dense")
-
-
-def _validate_scheduler_format(scheduler_format: str) -> None:
-    if scheduler_format not in SCHEDULER_FORMATS:
-        raise ModelError(
-            f"scheduler_format must be one of {', '.join(SCHEDULER_FORMATS)}, "
-            f"got {scheduler_format!r}"
-        )
 
 
 @dataclass
@@ -107,10 +92,9 @@ class ReachabilityResult:
     decisions:
         Optional step-indexed optimal scheduler: ``decisions[i - 1][s]``
         is the index (within ``transitions_of(s)``) chosen at step ``i``,
-        or ``-1`` where no choice exists.  Only recorded on request; a
-        :class:`~repro.policy.store.CompressedDecisions` store by
-        default (row-indexable like the historical dense array), the
-        dense int32 matrix under ``scheduler_format="dense"``.
+        or ``-1`` where no choice exists.  Only recorded on request, as
+        a row-indexable :class:`~repro.policy.store.CompressedDecisions`
+        store.
     certificate:
         The numerical-health certificate of this solve: truncation
         accounting, sweep residual and the certified a-posteriori error
@@ -127,26 +111,13 @@ class ReachabilityResult:
     time_bound: float
     objective: str
     poisson: FoxGlynn
-    decisions: np.ndarray | CompressedDecisions | None = None
+    decisions: CompressedDecisions | None = None
     certificate: NumericalCertificate | None = None
     states_eliminated: int = 0
 
     def value(self, state: int) -> float:
         """Probability from ``state``."""
         return float(self.values[state])
-
-
-def _goal_mask(ctmdp: CTMDP, goal: Iterable[int] | np.ndarray) -> np.ndarray:
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        if goal.shape != (ctmdp.num_states,):
-            raise ModelError(f"goal mask must have shape ({ctmdp.num_states},)")
-        return goal
-    mask = np.zeros(ctmdp.num_states, dtype=bool)
-    for state in goal:  # type: ignore[union-attr]
-        if not 0 <= state < ctmdp.num_states:
-            raise ModelError(f"goal state {state} out of range")
-        mask[state] = True
-    return mask
 
 
 class PreparedTimedReachability:
@@ -182,7 +153,7 @@ class PreparedTimedReachability:
         precompute: bool = False,
     ) -> None:
         self.ctmdp = ctmdp
-        self.mask = _goal_mask(ctmdp, goal)
+        self.mask = state_mask(ctmdp.num_states, goal, "goal state")
         self.num_states = ctmdp.num_states
         self.precompute = bool(precompute)
         self._zero_cache: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
@@ -255,21 +226,17 @@ class PreparedTimedReachability:
         epsilon: float = 1e-6,
         objective: str = "max",
         record_scheduler: bool = False,
-        scheduler_format: str = "compressed",
     ) -> ReachabilityResult:
         """Solve one time bound against the prepared model/goal pair.
 
         With ``record_scheduler`` the optimal step scheduler is recorded
-        as the sweep runs; ``scheduler_format`` picks the representation
-        (see :data:`SCHEDULER_FORMATS`).  The compressed default streams
-        each decision row into a run-length/delta store, so the dense
-        ``iterations x states`` matrix is never materialised.
+        as the sweep runs: each decision row streams into a
+        run-length/delta store, so the dense ``iterations x states``
+        matrix is never materialised.
         """
         validate_objective(objective)
-        _validate_scheduler_format(scheduler_format)
         if t < 0.0:
             raise ModelError("time bound must be non-negative")
-        num_states = self.num_states
 
         if t == 0.0 or not self._ready:
             return self._trivial_result(t, epsilon, objective)
@@ -280,7 +247,7 @@ class PreparedTimedReachability:
                 prob=self.prob,
                 prob_to_goal=self.prob_to_goal,
                 choice_ptr=np.asarray(self.ctmdp.choice_ptr),
-                num_states=num_states,
+                num_states=self.num_states,
                 mask=self.mask,
                 zero=zero,
                 witness=witness,
@@ -289,91 +256,116 @@ class PreparedTimedReachability:
                 epsilon=epsilon,
                 objective=objective,
                 record_scheduler=record_scheduler,
-                scheduler_format=scheduler_format,
                 span_name="reachability.sweep",
                 algorithm="ctmdp.reachability",
             )
 
-        fg = fox_glynn(self.rate * t, epsilon)
-        psi = fg.probabilities()
-        k = fg.right
-
-        prob = self.prob
-        prob_to_goal = self.prob_to_goal
-        segments = self.segments
-        nonempty = segments.nonempty
-        goal_idx = self.goal_idx
-
-        dense_decisions: np.ndarray | None = None
-        writer: PolicyWriter | None = None
-        decision_row: np.ndarray | None = None
-        if record_scheduler:
-            if scheduler_format == "dense":
-                dense_decisions = np.full((k, num_states), -1, dtype=np.int32)
-            else:
-                # The sweep runs backwards (row k-1 is produced first), so
-                # the writer stores rows in arrival order and flags the
-                # orientation instead of buffering the whole table.
-                writer = PolicyWriter(num_states=num_states, reverse_rows=True)
-                decision_row = np.full(num_states, -1, dtype=np.int32)
-
-        with sweep_span(
-            "reachability.sweep",
+        return _sweep(
+            prob=self.prob,
+            prob_to_goal=self.prob_to_goal,
+            segments=self.segments,
+            num_states=self.num_states,
+            num_transitions=self.ctmdp.num_transitions,
+            goal_idx=self.goal_idx,
+            rate=self.rate,
             t=t,
+            epsilon=epsilon,
             objective=objective,
-            states=num_states,
-            transitions=self.ctmdp.num_transitions,
-            iterations=k,
-            lam=self.rate * t,
-        ) as steps:
-            record_steps = steps.enabled
-            q = np.zeros(num_states)
-            for i in range(k, 0, -1):
-                step_started = perf_counter() if record_steps else 0.0
-                psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-                transition_values = psi_i * prob_to_goal + prob @ q
-                best = segment_reduce(transition_values, segments, objective)
-                new_q = np.zeros(num_states)
-                new_q[nonempty] = best
-                new_q[goal_idx] = psi_i + q[goal_idx]
-                if record_scheduler:
-                    # First transition attaining the optimum within each
-                    # segment, with the tie tolerance on the side that
-                    # matches the objective (cf. segment_argbest).
-                    argbest = segment_argbest(
-                        transition_values, best, segments, objective
-                    ).astype(np.int32)
-                    if dense_decisions is not None:
-                        dense_decisions[i - 1, nonempty] = argbest
-                    else:
-                        assert writer is not None and decision_row is not None
-                        decision_row[nonempty] = argbest
-                        writer.append(decision_row)
-                q = new_q
-                if record_steps:
-                    steps.record(perf_counter() - step_started)
-
-        decisions: np.ndarray | CompressedDecisions | None = dense_decisions
-        if writer is not None:
-            decisions = writer.finish()
-
-        values = q.copy()
-        values[goal_idx] = 1.0
-        residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
-        np.clip(values, 0.0, 1.0, out=values)
-
-        return ReachabilityResult(
-            values=values,
-            iterations=k,
-            uniform_rate=self.rate,
-            time_bound=t,
-            objective=objective,
-            poisson=fg,
-            decisions=decisions,
-            certificate=certificate_from_foxglynn(
-                fg, epsilon, "ctmdp.reachability", sweep_residual=residual
-            ),
+            record_scheduler=record_scheduler,
+            span_name="reachability.sweep",
+            algorithm="ctmdp.reachability",
         )
+
+
+def _sweep(
+    *,
+    prob,
+    prob_to_goal: np.ndarray,
+    segments: SegmentIndex,
+    num_states: int,
+    num_transitions: int,
+    goal_idx: np.ndarray,
+    rate: float,
+    t: float,
+    epsilon: float,
+    objective: str,
+    record_scheduler: bool,
+    span_name: str,
+    algorithm: str,
+    blocked: np.ndarray | None = None,
+) -> ReachabilityResult:
+    """Algorithm 1's backward sweep over every state.
+
+    Shared by timed reachability (``blocked=None``) and timed until,
+    whose ``blocked`` states (neither safe nor goal) are pinned to zero
+    after every step: a path entering one has violated the formula.
+    """
+    fg = fox_glynn(rate * t, epsilon)
+    psi = fg.probabilities()
+    k = fg.right
+    nonempty = segments.nonempty
+
+    writer: PolicyWriter | None = None
+    decision_row: np.ndarray | None = None
+    if record_scheduler:
+        # The sweep runs backwards (row k-1 is produced first), so the
+        # writer stores rows in arrival order and flags the orientation
+        # instead of buffering the whole table.
+        writer = PolicyWriter(num_states=num_states, reverse_rows=True)
+        decision_row = np.full(num_states, -1, dtype=np.int32)
+
+    with sweep_span(
+        span_name,
+        t=t,
+        objective=objective,
+        states=num_states,
+        transitions=num_transitions,
+        iterations=k,
+        lam=rate * t,
+    ) as steps:
+        record_steps = steps.enabled
+        q = np.zeros(num_states)
+        for i in range(k, 0, -1):
+            step_started = perf_counter() if record_steps else 0.0
+            psi_i = psi[i - fg.left] if i >= fg.left else 0.0
+            transition_values = psi_i * prob_to_goal + prob @ q
+            best = segment_reduce(transition_values, segments, objective)
+            new_q = np.zeros(num_states)
+            new_q[nonempty] = best
+            new_q[goal_idx] = psi_i + q[goal_idx]
+            if blocked is not None:
+                new_q[blocked] = 0.0
+            if writer is not None:
+                # First transition attaining the optimum within each
+                # segment, with the tie tolerance on the side that
+                # matches the objective (cf. segment_argbest).
+                decision_row[nonempty] = segment_argbest(
+                    transition_values, best, segments, objective
+                ).astype(np.int32)
+                writer.append(decision_row)
+            q = new_q
+            if record_steps:
+                steps.record(perf_counter() - step_started)
+
+    values = q.copy()
+    values[goal_idx] = 1.0
+    if blocked is not None:
+        values[blocked] = 0.0
+    residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
+    np.clip(values, 0.0, 1.0, out=values)
+
+    return ReachabilityResult(
+        values=values,
+        iterations=k,
+        uniform_rate=rate,
+        time_bound=t,
+        objective=objective,
+        poisson=fg,
+        decisions=writer.finish() if writer is not None else None,
+        certificate=certificate_from_foxglynn(
+            fg, epsilon, algorithm, sweep_residual=residual
+        ),
+    )
 
 
 def _clamped_sweep(
@@ -390,7 +382,6 @@ def _clamped_sweep(
     epsilon: float,
     objective: str,
     record_scheduler: bool,
-    scheduler_format: str,
     span_name: str,
     algorithm: str,
 ) -> ReachabilityResult:
@@ -431,20 +422,13 @@ def _clamped_sweep(
         chosen = witness >= 0
         template[chosen] = witness[chosen].astype(np.int32)
 
-    dense_decisions: np.ndarray | None = None
     writer: PolicyWriter | None = None
     if record_scheduler:
-        if scheduler_format == "dense":
-            dense_decisions = np.full((k, num_states), -1, dtype=np.int32)
-        else:
-            writer = PolicyWriter(num_states=num_states, reverse_rows=True)
+        writer = PolicyWriter(num_states=num_states, reverse_rows=True)
 
     def _finish(
         q_active: np.ndarray, g_total: float
     ) -> ReachabilityResult:
-        decisions: np.ndarray | CompressedDecisions | None = dense_decisions
-        if writer is not None:
-            decisions = writer.finish()
         values = np.zeros(num_states)
         values[active_idx] = q_active
         values[goal_idx] = 1.0
@@ -462,7 +446,7 @@ def _clamped_sweep(
             time_bound=t,
             objective=objective,
             poisson=fg,
-            decisions=decisions,
+            decisions=writer.finish() if writer is not None else None,
             certificate=certificate_from_foxglynn(
                 fg,
                 epsilon,
@@ -475,9 +459,7 @@ def _clamped_sweep(
 
     if len(active_idx) == 0:
         # Every state is decided; only the constant decisions remain.
-        if dense_decisions is not None:
-            dense_decisions[:] = template
-        elif writer is not None:
+        if writer is not None:
             for _ in range(k):
                 writer.append(template)
         return _finish(np.empty(0), float(np.sum(psi)))
@@ -513,17 +495,12 @@ def _clamped_sweep(
             best = segment_reduce(transition_values, segments, objective)
             new_q = np.zeros(len(active_idx))
             new_q[segments.nonempty] = best
-            if record_scheduler:
-                argbest = segment_argbest(
+            if writer is not None:
+                decision_row = template.copy()
+                decision_row[record_states] = segment_argbest(
                     transition_values, best, segments, objective
                 ).astype(np.int32)
-                decision_row = template.copy()
-                decision_row[record_states] = argbest
-                if dense_decisions is not None:
-                    dense_decisions[i - 1] = decision_row
-                else:
-                    assert writer is not None
-                    writer.append(decision_row)
+                writer.append(decision_row)
             q = new_q
             g = psi_i + g
             if record_steps:
@@ -539,7 +516,6 @@ def timed_reachability(
     epsilon: float = 1e-6,
     objective: str = "max",
     record_scheduler: bool = False,
-    scheduler_format: str = "compressed",
     precompute: bool = False,
 ) -> ReachabilityResult:
     """Run Algorithm 1 on a uniform CTMDP.
@@ -561,13 +537,9 @@ def timed_reachability(
         ``"max"`` for worst-case (sup over schedulers), ``"min"`` for
         best-case (inf).
     record_scheduler:
-        If true, record the optimising transition per state and step.
-    scheduler_format:
-        ``"compressed"`` (default) streams the decisions into a
-        :class:`~repro.policy.store.CompressedDecisions` store during
-        the sweep; ``"dense"`` keeps the historical
-        ``iterations x num_states`` int32 matrix (large for the long
-        FTWC horizons -- it exists for the equivalence tests).
+        If true, record the optimising transition per state and step,
+        streamed into a :class:`~repro.policy.store.CompressedDecisions`
+        store during the sweep.
     precompute:
         If true, clamp the qualitative zero set and fold the goal states
         into a scalar recursion before iterating; the sweep then covers
@@ -584,7 +556,6 @@ def timed_reachability(
         epsilon=epsilon,
         objective=objective,
         record_scheduler=record_scheduler,
-        scheduler_format=scheduler_format,
     )
 
 
@@ -650,7 +621,7 @@ def replay_step_scheduler(
     prepared = PreparedTimedReachability(ctmdp, goal)
     blocked: np.ndarray | None = None
     if safe is not None:
-        blocked = ~(_goal_mask(ctmdp, safe) | prepared.mask)
+        blocked = ~(state_mask(ctmdp.num_states, safe, "safe state") | prepared.mask)
     if t == 0.0 or not prepared._ready:
         return ReachabilityResult(
             values=prepared.mask.astype(np.float64),
@@ -718,25 +689,6 @@ def replay_step_scheduler(
     )
 
 
-def evaluate_step_scheduler(
-    ctmdp: CTMDP,
-    goal: Iterable[int] | np.ndarray,
-    t: float,
-    decisions: np.ndarray | CompressedDecisions,
-    epsilon: float = 1e-6,
-) -> np.ndarray:
-    """Exact per-state value of a recorded step scheduler.
-
-    Thin wrapper over :func:`replay_step_scheduler` keeping the
-    historical value-vector return shape.  This is the analytic
-    counterpart of simulating the scheduler: if ``decisions`` came from
-    an optimal solve with the same ``epsilon``, the returned values must
-    reproduce the optimal values -- the regression anchor for the
-    scheduler-extraction direction fix.
-    """
-    return replay_step_scheduler(ctmdp, goal, t, decisions, epsilon=epsilon).values
-
-
 def unbounded_reachability(
     ctmdp: CTMDP,
     goal: Iterable[int] | np.ndarray,
@@ -759,7 +711,7 @@ def unbounded_reachability(
     the iteration entirely.
     """
     validate_objective(objective)
-    mask = _goal_mask(ctmdp, goal)
+    mask = state_mask(ctmdp.num_states, goal, "goal state")
     if not mask.any():
         return np.zeros(ctmdp.num_states)
 

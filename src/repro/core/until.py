@@ -19,28 +19,17 @@ most p".
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.reachability import (
-    ReachabilityResult,
-    _clamped_sweep,
-    _goal_mask,
-    _validate_scheduler_format,
-)
-from repro.core.segments import (
-    SegmentIndex,
-    segment_argbest,
-    segment_reduce,
-    validate_objective,
-)
+from repro.core.reachability import ReachabilityResult, _clamped_sweep, _sweep
+from repro.core.segments import SegmentIndex, validate_objective
 from repro.errors import ModelError, NonUniformError
 from repro.numerics.foxglynn import fox_glynn
-from repro.obs import NumericalCertificate, certificate_from_foxglynn, sweep_span
-from repro.policy.store import CompressedDecisions, PolicyWriter
+from repro.obs import NumericalCertificate
+from repro.states import state_mask
 
 __all__ = ["timed_until"]
 
@@ -53,7 +42,6 @@ def timed_until(
     epsilon: float = 1e-6,
     objective: str = "max",
     record_scheduler: bool = False,
-    scheduler_format: str = "compressed",
     precompute: bool = False,
 ) -> ReachabilityResult:
     """Optimal probability of ``safe U^{<=t} goal`` per state.
@@ -78,9 +66,6 @@ def timed_until(
         (the same shape Algorithm 1's reachability extraction produces;
         decisions at blocked states are recorded but irrelevant -- their
         value is pinned to zero whatever is chosen).
-    scheduler_format:
-        ``"compressed"`` (default) or ``"dense"``; see
-        :func:`repro.core.reachability.timed_reachability`.
     precompute:
         If true, clamp the qualitative zero set of the until objective
         (blocked states included) and fold the goal states into a
@@ -94,11 +79,10 @@ def timed_until(
         (neither safe nor goal) carry zero.
     """
     validate_objective(objective)
-    _validate_scheduler_format(scheduler_format)
     if t < 0.0:
         raise ModelError("time bound must be non-negative")
-    goal_mask = _goal_mask(ctmdp, goal)
-    safe_mask = _goal_mask(ctmdp, safe)
+    goal_mask = state_mask(ctmdp.num_states, goal, "goal state")
+    safe_mask = state_mask(ctmdp.num_states, safe, "safe state")
     blocked = ~(safe_mask | goal_mask)
 
     if t == 0.0 or not goal_mask.any():
@@ -122,6 +106,8 @@ def timed_until(
     rate = ctmdp.uniform_rate()
     if rate <= 0.0:
         raise NonUniformError("uniform rate must be strictly positive for analysis")
+    prob = ctmdp.probability_matrix()
+    prob_to_goal = prob @ goal_mask.astype(np.float64)
 
     if precompute:
         from repro.graph.qualitative import prob0_exists, prob0_forall
@@ -137,10 +123,9 @@ def timed_until(
             )
         # Blocked states are in either zero set by construction, so the
         # clamped sweep needs no separate blocked pinning.
-        prob_pre = ctmdp.probability_matrix()
         return _clamped_sweep(
-            prob=prob_pre,
-            prob_to_goal=prob_pre @ goal_mask.astype(np.float64),
+            prob=prob,
+            prob_to_goal=prob_to_goal,
             choice_ptr=np.asarray(ctmdp.choice_ptr),
             num_states=ctmdp.num_states,
             mask=goal_mask,
@@ -151,81 +136,23 @@ def timed_until(
             epsilon=epsilon,
             objective=objective,
             record_scheduler=record_scheduler,
-            scheduler_format=scheduler_format,
             span_name="until.sweep",
             algorithm="ctmdp.until",
         )
 
-    fg = fox_glynn(rate * t, epsilon)
-    psi = fg.probabilities()
-
-    prob = ctmdp.probability_matrix()
-    prob_to_goal = prob @ goal_mask.astype(np.float64)
-    segments = SegmentIndex.from_choice_ptr(ctmdp.choice_ptr)
-
-    goal_idx = np.flatnonzero(goal_mask)
-
-    dense_decisions: np.ndarray | None = None
-    writer: PolicyWriter | None = None
-    decision_row: np.ndarray | None = None
-    if record_scheduler:
-        if scheduler_format == "dense":
-            dense_decisions = np.full((fg.right, ctmdp.num_states), -1, dtype=np.int32)
-        else:
-            writer = PolicyWriter(num_states=ctmdp.num_states, reverse_rows=True)
-            decision_row = np.full(ctmdp.num_states, -1, dtype=np.int32)
-
-    with sweep_span(
-        "until.sweep",
+    return _sweep(
+        prob=prob,
+        prob_to_goal=prob_to_goal,
+        segments=SegmentIndex.from_choice_ptr(ctmdp.choice_ptr),
+        num_states=ctmdp.num_states,
+        num_transitions=ctmdp.num_transitions,
+        goal_idx=np.flatnonzero(goal_mask),
+        rate=rate,
         t=t,
+        epsilon=epsilon,
         objective=objective,
-        states=ctmdp.num_states,
-        iterations=fg.right,
-        lam=rate * t,
-    ) as steps:
-        record_steps = steps.enabled
-        q = np.zeros(ctmdp.num_states)
-        for i in range(fg.right, 0, -1):
-            step_started = perf_counter() if record_steps else 0.0
-            psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-            transition_values = psi_i * prob_to_goal + prob @ q
-            best = segment_reduce(transition_values, segments, objective)
-            new_q = np.zeros(ctmdp.num_states)
-            new_q[segments.nonempty] = best
-            new_q[goal_idx] = psi_i + q[goal_idx]
-            new_q[blocked] = 0.0  # entering a non-safe state loses the game
-            if record_scheduler:
-                argbest = segment_argbest(
-                    transition_values, best, segments, objective
-                ).astype(np.int32)
-                if dense_decisions is not None:
-                    dense_decisions[i - 1, segments.nonempty] = argbest
-                else:
-                    assert writer is not None and decision_row is not None
-                    decision_row[segments.nonempty] = argbest
-                    writer.append(decision_row)
-            q = new_q
-            if record_steps:
-                steps.record(perf_counter() - step_started)
-
-    decisions: np.ndarray | CompressedDecisions | None = dense_decisions
-    if writer is not None:
-        decisions = writer.finish()
-
-    values = q.copy()
-    values[goal_idx] = 1.0
-    values[blocked] = 0.0
-    residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
-    np.clip(values, 0.0, 1.0, out=values)
-    return ReachabilityResult(
-        values=values,
-        iterations=fg.right,
-        uniform_rate=rate,
-        time_bound=t,
-        objective=objective,
-        poisson=fg,
-        decisions=decisions,
-        certificate=certificate_from_foxglynn(
-            fg, epsilon, "ctmdp.until", sweep_residual=residual
-        ),
+        record_scheduler=record_scheduler,
+        span_name="until.sweep",
+        algorithm="ctmdp.until",
+        blocked=blocked,
     )

@@ -4,17 +4,16 @@ from repro.ctmc.hitting import expected_hitting_time
 from repro.ctmc.model import CTMC
 from repro.ctmc.phase_type import PhaseType
 from repro.ctmc.reachability import (
+    CTMCReachabilityResult,
     IntervalReachabilityResult,
-    goal_mask,
-    interval_reachability,
     interval_reachability_analysis,
     timed_reachability,
     timed_reachability_curve,
 )
 from repro.ctmc.until import timed_until
 from repro.ctmc.uniformization import (
-    steady_state_distribution,
-    transient_distribution,
+    steady_state_analysis,
+    transient_analysis,
     uniformize,
     uniformized_jump_matrix,
 )
@@ -23,15 +22,14 @@ __all__ = [
     "CTMC",
     "expected_hitting_time",
     "PhaseType",
-    "goal_mask",
+    "CTMCReachabilityResult",
     "IntervalReachabilityResult",
-    "interval_reachability",
     "interval_reachability_analysis",
     "timed_reachability",
     "timed_reachability_curve",
     "timed_until",
-    "steady_state_distribution",
-    "transient_distribution",
+    "steady_state_analysis",
+    "transient_analysis",
     "uniformize",
     "uniformized_jump_matrix",
 ]

@@ -1,7 +1,7 @@
 """Expected hitting times in CTMCs.
 
 The deterministic counterpart of
-:func:`repro.core.expected_time.expected_reachability_time`: the
+:func:`repro.core.expected_time.expected_time_analysis`: the
 expected time until a goal set is first hit, solved exactly through one
 sparse linear system
 
@@ -22,8 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import goal_mask as _goal_mask
-from repro.errors import ModelError
+from repro.states import state_mask
 
 __all__ = ["expected_hitting_time"]
 
@@ -63,12 +62,7 @@ def expected_hitting_time(
         If the goal specification is invalid.
     """
     n = ctmc.num_states
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-        if mask.shape != (n,):
-            raise ModelError(f"goal mask must have shape ({n},)")
-    else:
-        mask = _goal_mask(n, goal)
+    mask = state_mask(n, goal, "goal state")
     if not mask.any():
         return np.full(n, np.inf)
 

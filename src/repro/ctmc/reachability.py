@@ -25,26 +25,30 @@ from repro.ctmc.uniformization import uniformized_jump_matrix
 from repro.errors import ModelError
 from repro.numerics.foxglynn import fox_glynn
 from repro.obs import NumericalCertificate, certificate_from_foxglynn
+from repro.states import state_index, state_mask
 
 __all__ = [
     "PreparedCTMCReachability",
+    "CTMCReachabilityResult",
     "IntervalReachabilityResult",
     "timed_reachability",
     "timed_reachability_curve",
-    "interval_reachability",
     "interval_reachability_analysis",
-    "goal_mask",
 ]
 
 
-def goal_mask(num_states: int, goal: Iterable[int]) -> np.ndarray:
-    """Boolean mask over states from an iterable of goal-state indices."""
-    mask = np.zeros(num_states, dtype=bool)
-    for state in goal:
-        if not 0 <= state < num_states:
-            raise ModelError(f"goal state {state} out of range 0..{num_states - 1}")
-        mask[state] = True
-    return mask
+@dataclass(frozen=True)
+class CTMCReachabilityResult:
+    """Timed-reachability probabilities plus their numerical-health certificate.
+
+    ``values[s]`` is the probability from state ``s`` (one on goal
+    states); ``iterations`` is the number of backward steps, the
+    Fox-Glynn right truncation point (zero for trivial queries).
+    """
+
+    values: np.ndarray
+    certificate: NumericalCertificate
+    iterations: int
 
 
 def timed_reachability(
@@ -53,7 +57,7 @@ def timed_reachability(
     t: float,
     epsilon: float = 1e-10,
     rate: float | None = None,
-) -> np.ndarray:
+) -> CTMCReachabilityResult:
     """Probability, per state, to reach ``goal`` within ``t`` time units.
 
     Implementation: make ``goal`` absorbing, uniformize, and accumulate
@@ -79,9 +83,10 @@ def timed_reachability(
 
     Returns
     -------
-    numpy.ndarray
-        Vector ``v`` with ``v[s] = Pr(s |= diamond^{<=t} goal)``; goal
-        states have probability one.
+    CTMCReachabilityResult
+        Values ``v`` with ``v[s] = Pr(s |= diamond^{<=t} goal)`` (goal
+        states have probability one), the certificate and the number of
+        backward steps.
     """
     return PreparedCTMCReachability(ctmc, goal, rate=rate).solve(t, epsilon=epsilon)
 
@@ -93,11 +98,6 @@ class PreparedCTMCReachability:
     depend on the time bound; this class performs them once so a whole
     time sweep shares the setup.  :func:`timed_reachability` delegates
     here, keeping prepared and one-shot solves bitwise-identical.
-
-    Each :meth:`solve` additionally issues a numerical-health
-    certificate, readable as :attr:`last_certificate` (the return type
-    stays a bare probability vector for backwards compatibility; the
-    query engine picks the certificate up from here).
     """
 
     def __init__(
@@ -106,18 +106,11 @@ class PreparedCTMCReachability:
         goal: Iterable[int] | np.ndarray,
         rate: float | None = None,
     ) -> None:
-        n = ctmc.num_states
-        if isinstance(goal, np.ndarray) and goal.dtype == bool:
-            mask = goal
-        else:
-            mask = goal_mask(n, goal)
-        if mask.shape != (n,):
-            raise ModelError(f"goal mask must have shape ({n},)")
+        mask = state_mask(ctmc.num_states, goal, "goal state")
         self.ctmc = ctmc
         self.mask = mask
-        self.num_states = n
+        self.num_states = ctmc.num_states
         self._ready = False
-        self.last_certificate: NumericalCertificate | None = None
         if not mask.any():
             return
 
@@ -133,15 +126,16 @@ class PreparedCTMCReachability:
         self.p_goal = self.p @ goal_vec
         self._ready = True
 
-    def solve(self, t: float, epsilon: float = 1e-10) -> np.ndarray:
+    def solve(self, t: float, epsilon: float = 1e-10) -> CTMCReachabilityResult:
         """Reachability probabilities for one time bound, per state."""
         if t < 0.0:
             raise ModelError("time bound must be non-negative")
         if t == 0.0 or not self._ready:
-            self.last_certificate = NumericalCertificate.trivial(
-                "ctmc.reachability", epsilon
+            return CTMCReachabilityResult(
+                values=self.mask.astype(np.float64),
+                certificate=NumericalCertificate.trivial("ctmc.reachability", epsilon),
+                iterations=0,
             )
-            return self.mask.astype(np.float64)
 
         mask = self.mask
         p = self.p
@@ -163,10 +157,13 @@ class PreparedCTMCReachability:
             q[mask] = psi_i + q_next[mask]
         q[mask] = 1.0
         residual = max(0.0, float(q.max()) - 1.0, -float(q.min()))
-        self.last_certificate = certificate_from_foxglynn(
-            fg, epsilon, "ctmc.reachability", sweep_residual=residual
+        return CTMCReachabilityResult(
+            values=np.clip(q, 0.0, 1.0),
+            certificate=certificate_from_foxglynn(
+                fg, epsilon, "ctmc.reachability", sweep_residual=residual
+            ),
+            iterations=fg.right,
         )
-        return np.clip(q, 0.0, 1.0)
 
 
 def timed_reachability_curve(
@@ -192,11 +189,8 @@ def timed_reachability_curve(
     if any(t < 0.0 for t in ts):
         raise ModelError("time bounds must be non-negative")
     n = ctmc.num_states
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-    else:
-        mask = goal_mask(n, goal)
-    start = ctmc.initial if initial is None else initial
+    mask = state_mask(n, goal, "goal state")
+    start = ctmc.initial if initial is None else state_index(n, initial)
     if mask[start]:
         return np.ones(len(ts))
     if not mask.any() or not ts:
@@ -240,25 +234,6 @@ class IntervalReachabilityResult:
     certificate: NumericalCertificate
 
 
-def interval_reachability(
-    ctmc: CTMC,
-    goal: Iterable[int] | np.ndarray,
-    t_start: float,
-    t_end: float,
-    epsilon: float = 1e-10,
-    initial: int | None = None,
-) -> float:
-    """Probability to visit ``goal`` within the window ``[t_start, t_end]``.
-
-    Kept for callers that only want the bare probability; delegates to
-    :func:`interval_reachability_analysis` so both paths are
-    bitwise-identical.
-    """
-    return interval_reachability_analysis(
-        ctmc, goal, t_start, t_end, epsilon=epsilon, initial=initial
-    ).value
-
-
 def interval_reachability_analysis(
     ctmc: CTMC,
     goal: Iterable[int] | np.ndarray,
@@ -295,23 +270,17 @@ def interval_reachability_analysis(
     from repro.ctmc.uniformization import transient_analysis
 
     n = ctmc.num_states
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-    else:
-        mask = goal_mask(n, goal)
-    start = ctmc.initial if initial is None else initial
+    start = ctmc.initial if initial is None else state_index(n, initial)
+    solver = PreparedCTMCReachability(ctmc, goal)
     pi0 = np.zeros(n)
     pi0[start] = 1.0
     transient = transient_analysis(
         ctmc, t_start, initial_distribution=pi0, epsilon=epsilon
     )
-    solver = PreparedCTMCReachability(ctmc, mask)
-    from_each_state = solver.solve(t_end - t_start, epsilon=epsilon)
-    reach_certificate = solver.last_certificate
-    assert reach_certificate is not None
-    value = float(np.clip(transient.distribution @ from_each_state, 0.0, 1.0))
+    reach = solver.solve(t_end - t_start, epsilon=epsilon)
+    value = float(np.clip(transient.distribution @ reach.values, 0.0, 1.0))
     a = transient.certificate
-    b = reach_certificate
+    b = reach.certificate
     certificate = NumericalCertificate(
         algorithm="ctmc.interval_reachability",
         lam=a.lam + b.lam,

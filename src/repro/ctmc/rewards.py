@@ -26,9 +26,9 @@ import scipy.sparse.linalg
 
 from repro.ctmc.hitting import _can_reach
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import goal_mask as _goal_mask
-from repro.ctmc.uniformization import steady_state_distribution, transient_distribution
+from repro.ctmc.uniformization import steady_state_analysis, transient_analysis
 from repro.errors import ModelError
+from repro.states import state_mask
 
 __all__ = [
     "instantaneous_reward",
@@ -49,14 +49,14 @@ def instantaneous_reward(
 ) -> float:
     """Expected reward rate at time ``t``: ``pi(t) . r``."""
     arr = _check_rewards(rewards, ctmc.num_states)
-    distribution = transient_distribution(ctmc, t, epsilon=epsilon)
+    distribution = transient_analysis(ctmc, t, epsilon=epsilon).distribution
     return float(distribution @ arr)
 
 
 def long_run_average_reward(ctmc: CTMC, rewards: np.ndarray) -> float:
     """Long-run average reward rate ``pi . r`` (irreducible chains)."""
     arr = _check_rewards(rewards, ctmc.num_states)
-    return float(steady_state_distribution(ctmc) @ arr)
+    return float(steady_state_analysis(ctmc).distribution @ arr)
 
 
 def accumulated_reward_until(
@@ -75,12 +75,7 @@ def accumulated_reward_until(
     arr = _check_rewards(rewards, n)
     if (arr < 0.0).any():
         raise ModelError("reward rates must be non-negative")
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-        if mask.shape != (n,):
-            raise ModelError(f"goal mask must have shape ({n},)")
-    else:
-        mask = _goal_mask(n, goal)
+    mask = state_mask(n, goal, "goal state")
     result = np.full(n, np.inf)
     result[mask] = 0.0
     if not mask.any():

@@ -30,10 +30,8 @@ __all__ = [
     "uniformized_jump_matrix",
     "TransientResult",
     "transient_analysis",
-    "transient_distribution",
     "SteadyStateResult",
     "steady_state_analysis",
-    "steady_state_distribution",
 ]
 
 
@@ -160,23 +158,6 @@ def transient_analysis(
     return TransientResult(distribution=result, certificate=certificate)
 
 
-def transient_distribution(
-    ctmc: CTMC,
-    t: float,
-    initial_distribution: np.ndarray | None = None,
-    epsilon: float = 1e-10,
-    rate: float | None = None,
-) -> np.ndarray:
-    """Transient state distribution ``pi(t)``; see :func:`transient_analysis`.
-
-    Kept for callers that only want the bare vector; delegates to
-    :func:`transient_analysis` so both paths are bitwise-identical.
-    """
-    return transient_analysis(
-        ctmc, t, initial_distribution=initial_distribution, epsilon=epsilon, rate=rate
-    ).distribution
-
-
 @dataclass(frozen=True)
 class SteadyStateResult:
     """Steady-state distribution plus its numerical-health certificate."""
@@ -230,12 +211,3 @@ def steady_state_analysis(ctmc: CTMC, tolerance: float = 1e-9) -> SteadyStateRes
         deficit=mass_defect,
     )
     return SteadyStateResult(distribution=pi, certificate=certificate)
-
-
-def steady_state_distribution(ctmc: CTMC) -> np.ndarray:
-    """Long-run distribution of an irreducible CTMC.
-
-    Kept for callers that only want the bare vector; delegates to
-    :func:`steady_state_analysis` so both paths are bitwise-identical.
-    """
-    return steady_state_analysis(ctmc).distribution

@@ -15,38 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import PreparedCTMCReachability, goal_mask as _mask
-from repro.errors import ModelError
-from repro.obs import NumericalCertificate
+from repro.ctmc.reachability import CTMCReachabilityResult, PreparedCTMCReachability
+from repro.states import state_mask
 
-__all__ = ["timed_until", "timed_until_with_certificate"]
-
-
-def timed_until_with_certificate(
-    ctmc: CTMC,
-    safe: Iterable[int] | np.ndarray,
-    goal: Iterable[int] | np.ndarray,
-    t: float,
-    epsilon: float = 1e-10,
-) -> tuple[np.ndarray, NumericalCertificate | None]:
-    """Like :func:`timed_until`, also returning the solve's certificate."""
-    n = ctmc.num_states
-    goal_arr = goal if isinstance(goal, np.ndarray) and goal.dtype == bool else _mask(n, goal)
-    safe_arr = safe if isinstance(safe, np.ndarray) and safe.dtype == bool else _mask(n, safe)
-    if goal_arr.shape != (n,) or safe_arr.shape != (n,):
-        raise ModelError("safe/goal masks must cover the state space")
-    blocked = ~(safe_arr | goal_arr)
-
-    # Make blocked states absorbing, then run plain timed reachability.
-    rates = ctmc.rates.tolil(copy=True)
-    for state in np.flatnonzero(blocked):
-        rates.rows[state] = []
-        rates.data[state] = []
-    pruned = CTMC(rates=sp.csr_matrix(rates), initial=ctmc.initial)
-    solver = PreparedCTMCReachability(pruned, goal_arr)
-    values = solver.solve(t, epsilon=epsilon)
-    values[blocked] = 0.0
-    return values, solver.last_certificate
+__all__ = ["timed_until"]
 
 
 def timed_until(
@@ -55,6 +27,18 @@ def timed_until(
     goal: Iterable[int] | np.ndarray,
     t: float,
     epsilon: float = 1e-10,
-) -> np.ndarray:
-    """Probability of ``safe U^{<=t} goal`` per state of a CTMC."""
-    return timed_until_with_certificate(ctmc, safe, goal, t, epsilon=epsilon)[0]
+) -> CTMCReachabilityResult:
+    """Probability of ``safe U^{<=t} goal`` per state of a CTMC, certified."""
+    n = ctmc.num_states
+    goal_arr = state_mask(n, goal, "goal state")
+    blocked = ~(state_mask(n, safe, "safe state") | goal_arr)
+
+    # Make blocked states absorbing, then run plain timed reachability.
+    rates = ctmc.rates.tolil(copy=True)
+    for state in np.flatnonzero(blocked):
+        rates.rows[state] = []
+        rates.data[state] = []
+    pruned = CTMC(rates=sp.csr_matrix(rates), initial=ctmc.initial)
+    result = PreparedCTMCReachability(pruned, goal_arr).solve(t, epsilon=epsilon)
+    result.values[blocked] = 0.0  # a fresh array owned by this result
+    return result

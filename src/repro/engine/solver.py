@@ -33,7 +33,6 @@ from repro.engine.metrics import EngineMetrics
 from repro.engine.plan import Query, QueryGroup, plan_queries, query_from_dict
 from repro.engine.registry import BuiltModel, ModelRegistry
 from repro.lint.sanitize import sanitize_enabled, sanitize_model
-from repro.numerics.foxglynn import poisson_right_truncation
 from repro.obs import (
     NumericalCertificate,
     current_tracer,
@@ -251,7 +250,6 @@ def _solve_group(
     except Exception as exc:
         return _error_results(group, f"{type(exc).__name__}: {exc}", cache=built.source)
 
-    has_goal = bool(goal.any())
     results = []
     for index, query in group.members:
         started = time.perf_counter()
@@ -275,14 +273,10 @@ def _solve_group(
                             group, query, built, value, outcome, metrics
                         )
                 else:
-                    values = prepared.solve(query.t, query.epsilon)
-                    value = float(values[built.model.initial])
-                    iterations = (
-                        poisson_right_truncation(prepared.e * query.t, query.epsilon)
-                        if query.t > 0.0 and has_goal
-                        else 0
-                    )
-                    certificate = prepared.last_certificate
+                    reach = prepared.solve(query.t, query.epsilon)
+                    value = float(reach.values[built.model.initial])
+                    iterations = reach.iterations
+                    certificate = reach.certificate
             seconds = time.perf_counter() - started
             metrics.add_time("solve_seconds", seconds)
             metrics.count("foxglynn")

@@ -25,7 +25,6 @@ from repro.graph.components import (
 )
 from repro.graph.qualitative import (
     QualitativeAnalysis,
-    as_state_mask,
     prob0_exists,
     prob0_forall,
     prob1_exists,
@@ -41,7 +40,6 @@ __all__ = [
     "SCCDecomposition",
     "TransitionGraph",
     "analyze_model",
-    "as_state_mask",
     "bottom_components",
     "condensation_edges",
     "graph_of",

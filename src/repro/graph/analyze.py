@@ -23,13 +23,10 @@ from repro.graph.components import (
     maximal_end_components,
     strongly_connected_components,
 )
-from repro.graph.qualitative import (
-    QualitativeAnalysis,
-    as_state_mask,
-    qualitative_analysis,
-)
+from repro.graph.qualitative import QualitativeAnalysis, qualitative_analysis
 from repro.graph.structure import TransitionGraph, graph_of
 from repro.obs import span
+from repro.states import state_mask
 
 __all__ = ["GraphAnalysis", "analyze_model"]
 
@@ -182,7 +179,7 @@ def analyze_model(
     goal_mask: np.ndarray | None = None
     qualitative: QualitativeAnalysis | None = None
     if goal is not None:
-        goal_mask = as_state_mask(graph, goal)
+        goal_mask = state_mask(graph.num_states, goal, "goal state")
         with span("graph.qualitative", goal_states=int(goal_mask.sum())):
             qualitative = qualitative_analysis(graph, goal_mask, safe)
     if metrics is not None:

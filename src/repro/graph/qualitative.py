@@ -34,6 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.graph.structure import TransitionGraph, graph_of
+from repro.states import state_mask
 
 __all__ = [
     "QualitativeAnalysis",
@@ -42,29 +43,7 @@ __all__ = [
     "prob1_exists",
     "prob1_forall",
     "qualitative_analysis",
-    "as_state_mask",
 ]
-
-
-def as_state_mask(
-    graph: TransitionGraph, states: Iterable[int] | np.ndarray
-) -> np.ndarray:
-    """Coerce an index iterable or boolean mask to a boolean state mask."""
-    array = (
-        np.asarray(states)
-        if isinstance(states, np.ndarray)
-        else np.asarray(list(states), dtype=np.int64)
-    )
-    if array.dtype == bool:
-        if array.shape != (graph.num_states,):
-            raise ValueError(
-                f"boolean mask has shape {array.shape}, "
-                f"expected ({graph.num_states},)"
-            )
-        return array.copy()
-    mask = np.zeros(graph.num_states, dtype=bool)
-    mask[array.astype(np.int64)] = True
-    return mask
 
 
 def _row_counts(graph: TransitionGraph, x: np.ndarray) -> np.ndarray:
@@ -89,7 +68,7 @@ def _resolve_safe(
     """The allowed (non-blocked) non-goal states."""
     if safe is None:
         return ~goal
-    return as_state_mask(graph, safe) & ~goal
+    return state_mask(graph.num_states, safe, "safe state") & ~goal
 
 
 def prob0_forall(
@@ -103,7 +82,7 @@ def prob0_forall(
     states: a state counts iff no path touches the goal before leaving
     ``safe``.
     """
-    goal_mask = as_state_mask(graph, goal)
+    goal_mask = state_mask(graph.num_states, goal, "goal state")
     allowed = _resolve_safe(graph, goal_mask, safe)
     reached = graph.backward_reachable(goal_mask, through=allowed)
     return ~reached
@@ -127,7 +106,7 @@ def prob0_exists(
     none exists or none is needed: blocked, deadlocked, or outside the
     set).
     """
-    goal_mask = as_state_mask(graph, goal)
+    goal_mask = state_mask(graph.num_states, goal, "goal state")
     allowed = _resolve_safe(graph, goal_mask, safe)
     blocked = ~allowed & ~goal_mask
     degrees = graph.row_degrees
@@ -168,7 +147,7 @@ def prob1_exists(
     choice that stays inside ``u`` while making progress towards the
     current ``v``.
     """
-    goal_mask = as_state_mask(graph, goal)
+    goal_mask = state_mask(graph.num_states, goal, "goal state")
     allowed = _resolve_safe(graph, goal_mask, safe)
     degrees = graph.row_degrees
 
@@ -200,7 +179,7 @@ def prob1_forall(
     of: the greatest fixpoint of goal-free closedness, with blocked and
     deadlocked states closed by definition (their value is 0 < 1).
     """
-    goal_mask = as_state_mask(graph, goal)
+    goal_mask = state_mask(graph.num_states, goal, "goal state")
     # The escape core is exactly the Pmin = 0 region: states where some
     # scheduler stays goal-free forever (blocked and deadlocked states
     # included -- their value is 0 under every scheduler).

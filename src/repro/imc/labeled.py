@@ -105,20 +105,14 @@ class LabeledIMC:
             imc=_relabel(self.imc, mapping), observations=list(self.observations)
         )
 
-    def minimize(self, engine: str = "worklist") -> "LabeledIMC":
-        """Branching-bisimulation quotient respecting the observations.
-
-        ``engine`` selects the refinement implementation (``"worklist"``
-        or ``"naive"``, see :mod:`repro.bisim.branching`).
-        """
+    def minimize(self) -> "LabeledIMC":
+        """Branching-bisimulation quotient respecting the observations."""
         # Imported here: repro.bisim depends on repro.imc.model, so a
         # top-level import would be circular.
         from repro.bisim.branching import branching_minimize
         from repro.bisim.quotient import map_labels_through
 
-        quotient, partition = branching_minimize(
-            self.imc, labels=self.observations, engine=engine
-        )
+        quotient, partition = branching_minimize(self.imc, labels=self.observations)
         return LabeledIMC(
             imc=quotient,
             observations=map_labels_through(partition, self.observations),

@@ -32,9 +32,9 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.graph.components import maximal_end_components
-from repro.graph.qualitative import as_state_mask
 from repro.graph.structure import TransitionGraph, graph_of
 from repro.lint.diagnostics import Diagnostic, make_diagnostic
+from repro.states import state_mask
 
 __all__ = ["lint_graph"]
 
@@ -115,7 +115,7 @@ def lint_graph(
 
     goal_mask: np.ndarray | None = None
     if goal is not None:
-        goal_mask = as_state_mask(graph, goal)
+        goal_mask = state_mask(graph.num_states, goal, "goal state")
 
     # --- Q001: goal unreachable from the initial state -----------------
     if goal_mask is not None and goal_mask.any():

@@ -17,8 +17,8 @@ from repro.core.reachability import (
 from repro.core.until import timed_until as ctmdp_timed_until
 from repro.ctmc.hitting import expected_hitting_time
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import PreparedCTMCReachability
-from repro.ctmc.until import timed_until_with_certificate as ctmc_timed_until
+from repro.ctmc.reachability import timed_reachability as ctmc_timed_reachability
+from repro.ctmc.until import timed_until as ctmc_timed_until
 from repro.ctmc.uniformization import steady_state_analysis
 from repro.errors import ModelError
 from repro.logic.formulas import (
@@ -138,9 +138,8 @@ def _probability(
                 precompute=precompute,
             )
             return result.value(state), result.certificate, result
-        solver = PreparedCTMCReachability(model, goal)
-        values = solver.solve(path.bound, epsilon=epsilon)
-        return float(values[state]), solver.last_certificate, None
+        reach = ctmc_timed_reachability(model, goal, path.bound, epsilon=epsilon)
+        return float(reach.values[state]), reach.certificate, None
 
     assert isinstance(path, Until)
     safe = _resolve(path.safe, labels, n)
@@ -154,10 +153,8 @@ def _probability(
             precompute=precompute,
         )
         return result.value(state), result.certificate, result
-    values, certificate = ctmc_timed_until(
-        model, safe, goal, path.bound, epsilon=epsilon
-    )
-    return float(values[state]), certificate, None
+    until = ctmc_timed_until(model, safe, goal, path.bound, epsilon=epsilon)
+    return float(until.values[state]), until.certificate, None
 
 
 def _ctmc_unbounded(ctmc: CTMC, goal: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ModelError
+from repro.states import state_mask
 
 __all__ = ["DTMC", "DTMDP"]
 
@@ -61,9 +62,7 @@ class DTMC:
 
     def bounded_reachability(self, goal: Iterable[int], steps: int) -> np.ndarray:
         """Probability, per state, to visit ``goal`` within ``steps`` steps."""
-        mask = np.zeros(self.num_states, dtype=bool)
-        for g in goal:
-            mask[g] = True
+        mask = state_mask(self.num_states, goal, "goal state")
         q = mask.astype(np.float64)
         for _ in range(steps):
             q = self.probabilities @ q

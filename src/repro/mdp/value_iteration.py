@@ -18,19 +18,9 @@ from repro.core.segments import SegmentIndex, segment_reduce, validate_objective
 from repro.errors import ModelError
 from repro.mdp.model import DTMDP
 from repro.obs import sweep_span
+from repro.states import state_mask
 
 __all__ = ["bounded_reachability", "unbounded_reachability"]
-
-
-def _mask(mdp: DTMDP, goal: Iterable[int] | np.ndarray) -> np.ndarray:
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        if goal.shape != (mdp.num_states,):
-            raise ModelError("goal mask shape mismatch")
-        return goal
-    mask = np.zeros(mdp.num_states, dtype=bool)
-    for g in goal:  # type: ignore[union-attr]
-        mask[g] = True
-    return mask
 
 
 def bounded_reachability(
@@ -44,7 +34,7 @@ def bounded_reachability(
     validate_objective(objective)
     if steps < 0:
         raise ModelError("step bound must be non-negative")
-    mask = _mask(mdp, goal)
+    mask = state_mask(mdp.num_states, goal, "goal state")
     segments = SegmentIndex.from_choice_ptr(mdp.choice_ptr)
 
     with sweep_span(
@@ -81,7 +71,7 @@ def unbounded_reachability(
     slowest-converging states from the iteration.
     """
     validate_objective(objective)
-    mask = _mask(mdp, goal)
+    mask = state_mask(mdp.num_states, goal, "goal state")
     segments = SegmentIndex.from_choice_ptr(mdp.choice_ptr)
 
     zero: np.ndarray | None = None

@@ -151,9 +151,7 @@ def repair_station(params: FTWCParameters) -> LabeledIMC:
     return LabeledIMC.constant(model, _zero_obs())
 
 
-def component_block(
-    kind: str, fail_rate: float, minimize: bool = True, engine: str = "worklist"
-) -> LabeledIMC:
+def component_block(kind: str, fail_rate: float, minimize: bool = True) -> LabeledIMC:
     """One component with its failure time constraint, ``fail`` hidden.
 
     ``block = hide fail in (LTS |[{fail, r_kind}]| El(Exp(l), fail, r_kind))``
@@ -163,7 +161,7 @@ def component_block(
     block = component.parallel(clock, sync=["fail", f"r_{kind}"])
     block = block.hide(["fail"])
     if minimize:
-        block = block.minimize(engine=engine)
+        block = block.minimize()
     return block
 
 
@@ -179,7 +177,6 @@ def build_system_imc(
     n: int,
     params: FTWCParameters | None = None,
     minimize_intermediate: bool = True,
-    engine: str = "worklist",
 ) -> SystemIMC:
     """Compose the full FTWC as a closed uniform IMC.
 
@@ -191,22 +188,19 @@ def build_system_imc(
     With ``minimize_intermediate`` every intermediate composition is
     quotiented (the classical compositional minimisation principle);
     without it the intermediate state spaces grow quickly -- the
-    ablation benchmark measures exactly this effect.  ``engine``
-    selects the refinement implementation used by every quotient
-    (``"worklist"`` or ``"naive"``; ``BENCH_bisim.json`` records the
-    speedup between the two on exactly this pipeline).
+    ablation benchmark measures exactly this effect.
     """
     params = params or FTWCParameters(n=n)
     if params.n != n:
         raise ModelError("n argument and params.n disagree")
 
     def maybe_minimize(model: LabeledIMC) -> LabeledIMC:
-        return model.minimize(engine=engine) if minimize_intermediate else model
+        return model.minimize() if minimize_intermediate else model
 
     # Interleave the workstation replicas of each side.
     def cluster(kind: str) -> LabeledIMC:
         block = component_block(
-            kind, params.fail_rate(kind), minimize=minimize_intermediate, engine=engine
+            kind, params.fail_rate(kind), minimize=minimize_intermediate
         )
         result = block
         for _ in range(1, n):
@@ -216,7 +210,7 @@ def build_system_imc(
     system = maybe_minimize(cluster("wsL").parallel(cluster("wsR"), sync=[]))
     for kind in ("swL", "swR", "bb"):
         block = component_block(
-            kind, params.fail_rate(kind), minimize=minimize_intermediate, engine=engine
+            kind, params.fail_rate(kind), minimize=minimize_intermediate
         )
         system = maybe_minimize(system.parallel(block, sync=[]))
 
@@ -227,7 +221,7 @@ def build_system_imc(
     closed = system.hide_all_but()
     # Final quotient: only the premium predicate needs to survive now.
     quality = [premium_from_obs(obs, n) for obs in closed.observations]
-    quotient, partition = branching_minimize(closed.imc, labels=quality, engine=engine)
+    quotient, partition = branching_minimize(closed.imc, labels=quality)
     return SystemIMC(
         imc=quotient, premium_flags=map_labels_through(partition, quality)
     )
@@ -262,7 +256,6 @@ def build_compositional(
     n: int,
     params: FTWCParameters | None = None,
     minimize_intermediate: bool = True,
-    engine: str = "worklist",
 ) -> FTWCCompositional:
     """Full compositional pipeline: compose, minimise, transform.
 
@@ -271,7 +264,7 @@ def build_compositional(
     ``N <= 4``, which suffices to cross-validate the direct generator).
     """
     params = params or FTWCParameters(n=n)
-    system = build_system_imc(n, params, minimize_intermediate, engine=engine)
+    system = build_system_imc(n, params, minimize_intermediate)
     result = imc_to_ctmdp(system.imc, require_uniform=True)
     flags = system.premium_flags
     goal = result.goal_mask_from_predicate(lambda s: not flags[s], via="markov")

@@ -44,6 +44,7 @@ from repro.core.reachability import replay_step_scheduler
 from repro.errors import ModelError
 from repro.obs.certificate import NumericalCertificate, record_certificate
 from repro.policy.artifact import PolicyArtifact
+from repro.states import state_index, state_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricStore
@@ -179,18 +180,18 @@ def _stationary_cross_check(
 
     choices = np.maximum(artifact.decisions.row(0), 0)
     chain = ctmdp.induced_ctmc(choices)
-    prepared = PreparedCTMCReachability(chain, goal)
-    values = prepared.solve(artifact.t, epsilon=min(artifact.epsilon, 1e-10))
-    certificate = prepared.last_certificate
-    value = float(values[initial])
+    result = PreparedCTMCReachability(chain, goal).solve(
+        artifact.t, epsilon=min(artifact.epsilon, 1e-10)
+    )
+    value = float(result.values[initial])
     deviation = abs(value - artifact.value)
-    bound = certificate.error_bound if certificate is not None else 0.0
+    bound = result.certificate.error_bound
     return {
         "value": value,
         "deviation": deviation,
         "tolerance": tolerance + bound,
         "ok": bool(deviation <= tolerance + bound),
-        "certificate": certificate.as_dict() if certificate is not None else None,
+        "certificate": result.certificate.as_dict(),
     }
 
 
@@ -232,8 +233,7 @@ def validate_artifact(
         )
     if initial is None:
         initial = int(artifact.meta.get("initial", ctmdp.initial))
-    if not 0 <= initial < ctmdp.num_states:
-        raise ModelError(f"initial state {initial} out of range")
+    initial = state_index(ctmdp.num_states, initial)
 
     started = time.perf_counter()
     replayed = replay_step_scheduler(
@@ -259,7 +259,8 @@ def validate_artifact(
     cross_check = None
     if stationary and safe is None:
         cross_check = _stationary_cross_check(
-            ctmdp, np.asarray(_as_mask(ctmdp, goal)), artifact, initial, tolerance
+            ctmdp, state_mask(ctmdp.num_states, goal, "goal state"), artifact,
+            initial, tolerance,
         )
 
     if metrics is not None:
@@ -291,9 +292,3 @@ def validate_artifact(
         cross_check=cross_check,
         replay_seconds=replay_seconds,
     )
-
-
-def _as_mask(ctmdp: CTMDP, goal: Iterable[int] | np.ndarray) -> np.ndarray:
-    from repro.core.reachability import _goal_mask
-
-    return _goal_mask(ctmdp, goal)

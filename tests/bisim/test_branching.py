@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.bisim.branching import (
-    branching_bisimulation,
-    branching_minimize,
-    is_stochastic_branching_bisimulation,
-)
+from repro.bisim.branching import branching_bisimulation, branching_minimize
 from repro.core.reachability import timed_reachability
 from repro.imc.model import IMC, TAU
 from repro.imc.transform import imc_to_ctmdp
 from tests.conftest import random_imcs, random_closed_uniform_imcs, random_uniform_imcs
+from tests.oracles.bisim import is_stochastic_branching_bisimulation
 
 
 class TestBasics:

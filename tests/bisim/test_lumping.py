@@ -5,7 +5,7 @@ import pytest
 
 from repro.bisim.lumping import lump, lumping_partition
 from repro.ctmc.model import CTMC
-from repro.ctmc.uniformization import transient_distribution
+from repro.ctmc.uniformization import transient_analysis
 
 
 class TestLumping:
@@ -47,8 +47,8 @@ class TestLumping:
         lumped, partition = lump(chain)
         canon = partition.canonical()
         for t in (0.3, 1.0, 5.0):
-            full = transient_distribution(chain, t, epsilon=1e-12)
-            reduced = transient_distribution(lumped, t, epsilon=1e-12)
+            full = transient_analysis(chain, t, epsilon=1e-12).distribution
+            reduced = transient_analysis(lumped, t, epsilon=1e-12).distribution
             aggregated = np.zeros(lumped.num_states)
             for state, probability in enumerate(full):
                 aggregated[int(canon.block_of[state])] += probability

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ctmdp import CTMDP
-from repro.core.expected_time import expected_reachability_time
+from repro.core.expected_time import expected_time_analysis
 from repro.errors import ModelError
 from repro.models.ftwc_direct import build_ctmdp
 from repro.models.job_scheduling import build_job_scheduling
@@ -16,7 +16,7 @@ class TestAnalytic:
         ctmdp = CTMDP.from_transitions(
             2, [(0, "a", {1: 3.0}), (1, "a", {1: 3.0})]
         )
-        times = expected_reachability_time(ctmdp, [1])
+        times = expected_time_analysis(ctmdp, [1]).values
         assert times[0] == pytest.approx(1.0 / 3.0)
         assert times[1] == 0.0
 
@@ -31,7 +31,7 @@ class TestAnalytic:
                 (3, "a", {3: 2.0}),
             ],
         )
-        times = expected_reachability_time(ctmdp, [3])
+        times = expected_time_analysis(ctmdp, [3]).values
         np.testing.assert_allclose(times, [1.5, 1.0, 0.5, 0.0], atol=1e-9)
 
     def test_geometric_retry(self):
@@ -40,15 +40,15 @@ class TestAnalytic:
         ctmdp = CTMDP.from_transitions(
             2, [(0, "a", {1: 1.0, 0: 3.0}), (1, "a", {1: 4.0})]
         )
-        times = expected_reachability_time(ctmdp, [1])
+        times = expected_time_analysis(ctmdp, [1]).values
         assert times[0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestOptimisation:
     def test_min_picks_fast_branch(self):
         ctmdp, goal = two_phase_race_ctmdp(fast=10.0, slow=1.0)
-        times = expected_reachability_time(ctmdp, goal, objective="min")
-        worst = expected_reachability_time(ctmdp, goal, objective="max")
+        times = expected_time_analysis(ctmdp, goal, objective="min").values
+        worst = expected_time_analysis(ctmdp, goal, objective="max").values
         # Direct branch: success rate 1 -> E[T] = 1.  Detour: two rate-10
         # phases with rate-1 self-loops at uniform rate 11: each phase
         # succeeds w.p. 10/11 per jump -> E = 2 * (11/10) * (1/11) = 0.2.
@@ -58,22 +58,22 @@ class TestOptimisation:
 
     def test_job_scheduling_single_processor_order_free(self):
         model = build_job_scheduling([1.0, 2.0, 4.0], processors=1)
-        best = expected_reachability_time(model.ctmdp, model.goal_mask, "min")
-        worst = expected_reachability_time(model.ctmdp, model.goal_mask, "max")
+        best = expected_time_analysis(model.ctmdp, model.goal_mask, "min").values
+        worst = expected_time_analysis(model.ctmdp, model.goal_mask, "max").values
         expected = 1.0 + 0.5 + 0.25  # sum of service times
         assert best[model.ctmdp.initial] == pytest.approx(expected, abs=1e-8)
         assert worst[model.ctmdp.initial] == pytest.approx(expected, abs=1e-8)
 
     def test_job_scheduling_two_processors_scheduling_matters(self):
         model = build_job_scheduling([0.5, 1.0, 4.0], processors=2)
-        best = expected_reachability_time(model.ctmdp, model.goal_mask, "min")
-        worst = expected_reachability_time(model.ctmdp, model.goal_mask, "max")
+        best = expected_time_analysis(model.ctmdp, model.goal_mask, "min").values
+        worst = expected_time_analysis(model.ctmdp, model.goal_mask, "max").values
         assert best[model.ctmdp.initial] < worst[model.ctmdp.initial] - 1e-6
 
     def test_ftwc_expected_time_to_outage(self):
         model = build_ctmdp(1)
-        best = expected_reachability_time(model.ctmdp, model.goal_mask, "min")
-        worst = expected_reachability_time(model.ctmdp, model.goal_mask, "max")
+        best = expected_time_analysis(model.ctmdp, model.goal_mask, "min").values
+        worst = expected_time_analysis(model.ctmdp, model.goal_mask, "max").values
         start = model.ctmdp.initial
         # An outage takes hundreds of hours in expectation and the
         # adversarial repair assignment reaches it sooner.
@@ -86,7 +86,7 @@ class TestInfinite:
         ctmdp = CTMDP.from_transitions(
             2, [(0, "a", {0: 1.0}), (1, "a", {1: 1.0})]
         )
-        times = expected_reachability_time(ctmdp, [1])
+        times = expected_time_analysis(ctmdp, [1]).values
         assert np.isinf(times[0])
         assert times[1] == 0.0
 
@@ -100,16 +100,16 @@ class TestInfinite:
                 (1, "stay", {1: 2.0}),
             ],
         )
-        best = expected_reachability_time(ctmdp, [1], "min")
-        worst = expected_reachability_time(ctmdp, [1], "max")
+        best = expected_time_analysis(ctmdp, [1], "min").values
+        worst = expected_time_analysis(ctmdp, [1], "max").values
         assert best[0] == pytest.approx(0.5, abs=1e-9)
         assert np.isinf(worst[0])
 
     def test_empty_goal_all_infinite(self):
         ctmdp, _ = two_phase_race_ctmdp()
-        assert np.isinf(expected_reachability_time(ctmdp, [])).all()
+        assert np.isinf(expected_time_analysis(ctmdp, []).values).all()
 
     def test_bad_objective_rejected(self):
         ctmdp, goal = two_phase_race_ctmdp()
         with pytest.raises(ModelError):
-            expected_reachability_time(ctmdp, goal, objective="avg")
+            expected_time_analysis(ctmdp, goal, objective="avg")

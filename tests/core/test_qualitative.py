@@ -1,12 +1,12 @@
-"""Tests for the qualitative (graph-based) reachability precomputations."""
+"""Tests for the qualitative (graph-based) reachability sets on CTMDPs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core.ctmdp import CTMDP
-from repro.core.qualitative import almost_sure_max, almost_sure_min, cannot_reach
 from repro.core.reachability import unbounded_reachability
+from repro.graph import graph_of, prob0_forall, prob1_exists, prob1_forall
 from repro.models.ftwc_direct import build_ctmdp
 from tests.core.test_reachability_properties import models_with_goals
 
@@ -29,20 +29,20 @@ def maze() -> CTMDP:
 
 class TestCannotReach:
     def test_disconnected_state(self, maze):
-        zero = cannot_reach(maze, [1])
+        zero = prob0_forall(graph_of(maze), [1])
         np.testing.assert_array_equal(zero, [False, False, True, True])
 
     def test_goal_state_reaches_itself(self, maze):
-        assert not cannot_reach(maze, [1])[1]
+        assert not prob0_forall(graph_of(maze), [1])[1]
 
 
 class TestAlmostSure:
     def test_max_uses_the_sure_action(self, maze):
-        sure = almost_sure_max(maze, [1])
+        sure = prob1_exists(graph_of(maze), [1])
         np.testing.assert_array_equal(sure, [True, True, False, False])
 
     def test_min_fails_because_of_the_coin(self, maze):
-        always = almost_sure_min(maze, [1])
+        always = prob1_forall(graph_of(maze), [1])
         # The adversary plays "coin" forever... one coin flip suffices to
         # possibly land in the trap, so state 0 is not almost-sure under
         # every scheduler.
@@ -52,15 +52,15 @@ class TestAlmostSure:
         chain = CTMDP.from_transitions(
             3, [(0, "a", {1: 1.0}), (1, "a", {2: 1.0}), (2, "a", {2: 1.0})]
         )
-        np.testing.assert_array_equal(almost_sure_max(chain, [2]), True)
-        np.testing.assert_array_equal(almost_sure_min(chain, [2]), True)
+        np.testing.assert_array_equal(prob1_exists(graph_of(chain), [2]), True)
+        np.testing.assert_array_equal(prob1_forall(graph_of(chain), [2]), True)
 
     def test_ftwc_outage_unavoidable(self):
         """No repair policy can prevent the FTWC from eventually losing
         premium service: the goal is reached almost surely under every
         scheduler."""
         model = build_ctmdp(1)
-        assert almost_sure_min(model.ctmdp, model.goal_mask).all()
+        assert prob1_forall(graph_of(model.ctmdp), model.goal_mask).all()
 
     @given(data=models_with_goals())
     @settings(max_examples=40, deadline=None)
@@ -68,9 +68,9 @@ class TestAlmostSure:
         ctmdp, goal = data
         numeric_max = unbounded_reachability(ctmdp, goal, objective="max")
         numeric_min = unbounded_reachability(ctmdp, goal, objective="min")
-        as_max = almost_sure_max(ctmdp, goal)
-        as_min = almost_sure_min(ctmdp, goal)
-        zero = cannot_reach(ctmdp, goal)
+        as_max = prob1_exists(graph_of(ctmdp), goal)
+        as_min = prob1_forall(graph_of(ctmdp), goal)
+        zero = prob0_forall(graph_of(ctmdp), goal)
         # Qualitative one-sets must be numeric ones and vice versa
         # (generous tolerance: value iteration approaches 1 from below).
         assert (numeric_max[as_max] > 1.0 - 1e-6).all()

@@ -41,7 +41,7 @@ class TestAgainstCTMC:
         ctmdp = single_action_ctmdp_from_ctmc(chain)
         goal = np.array([False, False, True, False])
         for t in (0.2, 1.0, 3.0):
-            expected = ctmc_reachability(chain, goal, t, epsilon=1e-12)
+            expected = ctmc_reachability(chain, goal, t, epsilon=1e-12).values
             for objective in ("max", "min"):
                 result = timed_reachability(ctmdp, goal, t, epsilon=1e-10, objective=objective)
                 np.testing.assert_allclose(result.values, expected, atol=1e-8)
@@ -71,7 +71,7 @@ class TestOptimisation:
         inf = timed_reachability(ctmdp, goal, t, epsilon=1e-10, objective="min").value(0)
         for choice0 in (0, 1):
             chain = ctmdp.induced_ctmc([choice0, 0, 0])
-            value = ctmc_reachability(chain, [2], t, epsilon=1e-12)[0]
+            value = ctmc_reachability(chain, [2], t, epsilon=1e-12).values[0]
             assert inf - 1e-9 <= value <= sup + 1e-9
 
     def test_crossover_makes_optimum_time_dependent(self):
@@ -83,20 +83,20 @@ class TestOptimisation:
         detour = ctmdp.induced_ctmc([1, 0, 0])
         # Identify which stationary choice is which by the rate into goal.
         values_small = (
-            ctmc_reachability(direct, [2], 0.005, epsilon=1e-12)[0],
-            ctmc_reachability(detour, [2], 0.005, epsilon=1e-12)[0],
+            ctmc_reachability(direct, [2], 0.005, epsilon=1e-12).values[0],
+            ctmc_reachability(detour, [2], 0.005, epsilon=1e-12).values[0],
         )
         values_large = (
-            ctmc_reachability(direct, [2], 3.0, epsilon=1e-12)[0],
-            ctmc_reachability(detour, [2], 3.0, epsilon=1e-12)[0],
+            ctmc_reachability(direct, [2], 3.0, epsilon=1e-12).values[0],
+            ctmc_reachability(detour, [2], 3.0, epsilon=1e-12).values[0],
         )
         # The winner flips between the horizons.
         assert (values_small[0] > values_small[1]) != (values_large[0] > values_large[1])
         for t in (0.005, 3.0):
             sup = timed_reachability(ctmdp, goal, t, epsilon=1e-10).value(0)
             stationary_best = max(
-                ctmc_reachability(direct, [2], t, epsilon=1e-12)[0],
-                ctmc_reachability(detour, [2], t, epsilon=1e-12)[0],
+                ctmc_reachability(direct, [2], t, epsilon=1e-12).values[0],
+                ctmc_reachability(detour, [2], t, epsilon=1e-12).values[0],
             )
             assert sup >= stationary_best - 1e-9
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.ctmdp import CTMDP
 from repro.core.reachability import (
-    evaluate_step_scheduler,
+    replay_step_scheduler,
     timed_reachability,
     unbounded_reachability,
 )
@@ -80,7 +80,7 @@ class TestInvariants:
         # Try the all-first and all-last stationary schedulers.
         for pick in (np.zeros_like(counts), counts - 1):
             chain = ctmdp.induced_ctmc(pick)
-            values = ctmc_reachability(chain, goal, t, epsilon=1e-11)
+            values = ctmc_reachability(chain, goal, t, epsilon=1e-11).values
             assert (values <= sup + 1e-7).all()
             assert (values >= inf - 1e-7).all()
 
@@ -136,10 +136,10 @@ class TestInvariants:
             # The wrapper must accept exactly this array shape.
             scheduler = greedy_scheduler_from_decisions(result.decisions)
             assert len(scheduler.decisions) == result.iterations
-            replayed = evaluate_step_scheduler(
+            replayed = replay_step_scheduler(
                 ctmdp, goal, t, result.decisions, epsilon=1e-10
             )
-            np.testing.assert_allclose(replayed, result.values, atol=1e-9)
+            np.testing.assert_allclose(replayed.values, result.values, atol=1e-9)
 
     @given(data=models_with_goals(), t=st.floats(0.1, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -158,5 +158,5 @@ class TestInvariants:
             return
         pick = np.maximum(decisions[0], 0)
         chain = ctmdp.induced_ctmc(pick)
-        values = ctmc_reachability(chain, goal, t, epsilon=1e-12)
+        values = ctmc_reachability(chain, goal, t, epsilon=1e-12).values
         np.testing.assert_allclose(values, result.values, atol=1e-7)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.ctmdp import CTMDP
-from repro.core.reachability import evaluate_step_scheduler, timed_reachability
+from repro.core.reachability import replay_step_scheduler, timed_reachability
 from repro.core.scheduler import greedy_scheduler_from_decisions
 from repro.errors import ModelError
 
@@ -50,10 +50,10 @@ class TestMinSchedulerExtraction:
             ctmdp, GOAL, t, epsilon=1e-10, objective="min", record_scheduler=True
         )
         assert result.decisions is not None
-        replayed = evaluate_step_scheduler(
+        replayed = replay_step_scheduler(
             ctmdp, GOAL, t, result.decisions, epsilon=1e-10
         )
-        np.testing.assert_allclose(replayed, result.values, atol=1e-12)
+        np.testing.assert_allclose(replayed.values, result.values, atol=1e-12)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_min_scheduler_picks_the_slow_transition(self, t):
@@ -74,8 +74,8 @@ class TestMinSchedulerExtraction:
         ctmdp = branching_model()
         result = timed_reachability(ctmdp, GOAL, t, epsilon=1e-10, objective="min")
         first_only = np.zeros((1, ctmdp.num_states), dtype=np.int32)
-        degenerate = evaluate_step_scheduler(ctmdp, GOAL, t, first_only, epsilon=1e-10)
-        assert degenerate[0] > result.value(0) + 0.1
+        degenerate = replay_step_scheduler(ctmdp, GOAL, t, first_only, epsilon=1e-10)
+        assert degenerate.values[0] > result.value(0) + 0.1
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     def test_recorded_max_scheduler_achieves_max_value(self, t):
@@ -84,13 +84,13 @@ class TestMinSchedulerExtraction:
         result = timed_reachability(
             ctmdp, GOAL, t, epsilon=1e-10, objective="max", record_scheduler=True
         )
-        replayed = evaluate_step_scheduler(
+        replayed = replay_step_scheduler(
             ctmdp, GOAL, t, result.decisions, epsilon=1e-10
         )
-        np.testing.assert_allclose(replayed, result.values, atol=1e-12)
+        np.testing.assert_allclose(replayed.values, result.values, atol=1e-12)
 
     def test_greedy_wrapper_row_convention_matches_replay(self):
-        """greedy_scheduler_from_decisions and evaluate_step_scheduler
+        """greedy_scheduler_from_decisions and replay_step_scheduler
         share the row convention: forward step j reads row j."""
         ctmdp = branching_model()
         result = timed_reachability(
@@ -107,17 +107,17 @@ class TestMinSchedulerExtraction:
 class TestEvaluateStepScheduler:
     def test_t_zero_returns_goal_indicator(self):
         ctmdp = branching_model()
-        values = evaluate_step_scheduler(
+        values = replay_step_scheduler(
             ctmdp, GOAL, 0.0, np.zeros((1, 3), dtype=np.int32)
-        )
+        ).values
         np.testing.assert_array_equal(values, [0.0, 1.0, 0.0])
 
     def test_rejects_bad_shapes(self):
         ctmdp = branching_model()
         with pytest.raises(ModelError):
-            evaluate_step_scheduler(ctmdp, GOAL, 1.0, np.zeros((2, 5), dtype=np.int32))
+            replay_step_scheduler(ctmdp, GOAL, 1.0, np.zeros((2, 5), dtype=np.int32))
         with pytest.raises(ModelError):
-            evaluate_step_scheduler(ctmdp, GOAL, 1.0, np.zeros((0, 3), dtype=np.int32))
+            replay_step_scheduler(ctmdp, GOAL, 1.0, np.zeros((0, 3), dtype=np.int32))
 
     def test_out_of_range_choices_clamp_like_step_scheduler(self):
         """-1 (no recorded choice) falls back to the first transition,
@@ -125,9 +125,9 @@ class TestEvaluateStepScheduler:
         ctmdp = branching_model()
         minus = np.full((1, 3), -1, dtype=np.int32)
         zeros = np.zeros((1, 3), dtype=np.int32)
-        a = evaluate_step_scheduler(ctmdp, GOAL, 1.0, minus)
-        b = evaluate_step_scheduler(ctmdp, GOAL, 1.0, zeros)
-        np.testing.assert_array_equal(a, b)
+        a = replay_step_scheduler(ctmdp, GOAL, 1.0, minus)
+        b = replay_step_scheduler(ctmdp, GOAL, 1.0, zeros)
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_bracketed_by_min_and_max(self):
         """Any recorded decision array evaluates between inf and sup."""
@@ -141,6 +141,6 @@ class TestEvaluateStepScheduler:
             decisions = np.column_stack(
                 [rng.integers(0, max(c, 1), size=40) for c in counts]
             ).astype(np.int32)
-            values = evaluate_step_scheduler(ctmdp, GOAL, t, decisions, epsilon=1e-10)
+            values = replay_step_scheduler(ctmdp, GOAL, t, decisions, epsilon=1e-10).values
             assert (values <= sup + 1e-9).all()
             assert (values >= inf - 1e-9).all()

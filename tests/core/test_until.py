@@ -107,7 +107,7 @@ class TestCTMCUntil:
         t = 1.3
         expected = timed_until(ctmdp, safe, goal, t, epsilon=1e-12)
         actual = ctmc_timed_until(chain, safe, goal, t, epsilon=1e-12)
-        np.testing.assert_allclose(actual, expected.values, atol=1e-9)
+        np.testing.assert_allclose(actual.values, expected.values, atol=1e-9)
 
     def test_reduces_to_reachability(self):
         from repro.ctmc.reachability import timed_reachability as ctmc_reach
@@ -116,15 +116,15 @@ class TestCTMCUntil:
         safe = np.ones(3, dtype=bool)
         for t in (0.5, 2.0):
             np.testing.assert_allclose(
-                ctmc_timed_until(chain, safe, [2], t),
-                ctmc_reach(chain, [2], t),
+                ctmc_timed_until(chain, safe, [2], t).values,
+                ctmc_reach(chain, [2], t).values,
                 atol=1e-12,
             )
 
     def test_blocked_states_zero(self):
         chain = CTMC.from_transitions(3, [(0, 1, 1.0), (1, 2, 1.0)])
         safe = np.array([True, False, False])
-        values = ctmc_timed_until(chain, safe, [2], 5.0)
+        values = ctmc_timed_until(chain, safe, [2], 5.0).values
         # The only route passes through blocked state 1.
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         assert values[1] == 0.0

@@ -67,7 +67,7 @@ class TestInfinite:
 
 class TestConsistency:
     def test_matches_ctmdp_solver_on_induced_chain(self):
-        from repro.core.expected_time import expected_reachability_time
+        from repro.core.expected_time import expected_time_analysis
         from repro.models.ftwc_direct import build_ctmdp
 
         model = build_ctmdp(1)
@@ -75,7 +75,7 @@ class TestConsistency:
         # compare the chain solver against the MDP solver's bracketing.
         chain = model.ctmdp.induced_ctmc(np.zeros(model.ctmdp.num_states, dtype=int))
         chain_time = expected_hitting_time(chain, model.goal_mask)[model.ctmdp.initial]
-        best = expected_reachability_time(model.ctmdp, model.goal_mask, "min")
-        worst = expected_reachability_time(model.ctmdp, model.goal_mask, "max")
+        best = expected_time_analysis(model.ctmdp, model.goal_mask, "min").values
+        worst = expected_time_analysis(model.ctmdp, model.goal_mask, "max").values
         assert best[model.ctmdp.initial] - 1e-6 <= chain_time
         assert chain_time <= worst[model.ctmdp.initial] + 1e-6

@@ -6,8 +6,8 @@ import scipy.linalg
 
 from repro.ctmc.model import CTMC
 from repro.ctmc.uniformization import (
-    steady_state_distribution,
-    transient_distribution,
+    steady_state_analysis,
+    transient_analysis,
     uniformize,
     uniformized_jump_matrix,
 )
@@ -67,64 +67,64 @@ class TestTransient:
     def test_matches_matrix_exponential(self, birth_death):
         for t in (0.1, 0.7, 2.0, 10.0):
             expected = scipy.linalg.expm(generator_of(birth_death) * t)[0]
-            actual = transient_distribution(birth_death, t, epsilon=1e-12)
+            actual = transient_analysis(birth_death, t, epsilon=1e-12).distribution
             np.testing.assert_allclose(actual, expected, atol=1e-9)
 
     def test_time_zero_returns_initial(self, birth_death):
-        pi = transient_distribution(birth_death, 0.0)
+        pi = transient_analysis(birth_death, 0.0).distribution
         np.testing.assert_allclose(pi, [1.0, 0.0, 0.0, 0.0])
 
     def test_custom_initial_distribution(self, birth_death):
         pi0 = np.array([0.5, 0.5, 0.0, 0.0])
         expected = pi0 @ scipy.linalg.expm(generator_of(birth_death) * 1.0)
-        actual = transient_distribution(birth_death, 1.0, initial_distribution=pi0)
+        actual = transient_analysis(birth_death, 1.0, initial_distribution=pi0).distribution
         np.testing.assert_allclose(actual, expected, atol=1e-9)
 
     def test_self_loops_do_not_change_transients(self, birth_death):
         padded = uniformize(birth_death, rate=20.0)
         for t in (0.5, 3.0):
             np.testing.assert_allclose(
-                transient_distribution(padded, t),
-                transient_distribution(birth_death, t),
+                transient_analysis(padded, t).distribution,
+                transient_analysis(birth_death, t).distribution,
                 atol=1e-9,
             )
 
     def test_distribution_sums_to_one(self, birth_death):
-        pi = transient_distribution(birth_death, 5.0)
+        pi = transient_analysis(birth_death, 5.0).distribution
         assert pi.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_time_rejected(self, birth_death):
         with pytest.raises(ModelError):
-            transient_distribution(birth_death, -1.0)
+            transient_analysis(birth_death, -1.0)
 
     def test_invalid_initial_distribution_rejected(self, birth_death):
         with pytest.raises(ModelError):
-            transient_distribution(birth_death, 1.0, initial_distribution=np.array([1.0, 1.0, 0.0, 0.0]))
+            transient_analysis(birth_death, 1.0, initial_distribution=np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_wrong_shape_initial_rejected(self, birth_death):
         with pytest.raises(ModelError):
-            transient_distribution(birth_death, 1.0, initial_distribution=np.array([1.0]))
+            transient_analysis(birth_death, 1.0, initial_distribution=np.array([1.0]))
 
 
 class TestSteadyState:
     def test_two_state_balance(self):
         chain = CTMC.from_transitions(2, [(0, 1, 1.0), (1, 0, 3.0)])
-        pi = steady_state_distribution(chain)
+        pi = steady_state_analysis(chain).distribution
         np.testing.assert_allclose(pi, [0.75, 0.25])
 
     def test_agrees_with_long_run_transient(self, birth_death):
-        pi = steady_state_distribution(birth_death)
-        long_run = transient_distribution(birth_death, 200.0)
+        pi = steady_state_analysis(birth_death).distribution
+        long_run = transient_analysis(birth_death, 200.0).distribution
         np.testing.assert_allclose(pi, long_run, atol=1e-8)
 
     def test_reducible_chain_rejected(self):
         chain = CTMC.from_transitions(3, [(0, 1, 1.0), (1, 0, 1.0)])
         with pytest.raises(ModelError):
-            steady_state_distribution(chain)
+            steady_state_analysis(chain)
 
     def test_self_loops_irrelevant(self):
         plain = CTMC.from_transitions(2, [(0, 1, 1.0), (1, 0, 3.0)])
         looped = uniformize(plain, rate=9.0)
         np.testing.assert_allclose(
-            steady_state_distribution(looped), steady_state_distribution(plain)
+            steady_state_analysis(looped).distribution, steady_state_analysis(plain).distribution
         )

@@ -53,7 +53,8 @@ class TestBitwiseEquality:
         chain, _configs, goal = ftwc_direct.build_ctmc(1)
         for t, result in zip((10.0, 100.0), batch.results):
             reference = ctmc_reachability.timed_reachability(chain, goal, t, epsilon=1e-8)
-            assert result.value == float(reference[chain.initial])
+            assert result.value == float(reference.values[chain.initial])
+            assert result.iterations == reference.iterations
 
     def test_mixed_epsilons_keep_their_precision(self):
         batch = run_batch(

@@ -36,7 +36,7 @@ class TestDeterministicEquivalence:
         result = imc_to_ctmdp(imc)
         goal = result.goal_mask_from_predicate(lambda s: s == 2)
         for t in (0.3, 1.0, 4.0):
-            expected = ctmc_reachability(chain, [2], t, epsilon=1e-12)[0]
+            expected = ctmc_reachability(chain, [2], t, epsilon=1e-12).values[0]
             value = timed_reachability(result.ctmdp, goal, t, epsilon=1e-10)
             assert value.value(result.ctmdp.initial) == pytest.approx(expected, abs=1e-8)
 

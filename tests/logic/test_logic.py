@@ -219,14 +219,14 @@ class TestIntervalBounds:
             parse_query('P=? [ F[1 5] "goal" ]')
 
     def test_check_interval_on_ctmc(self):
-        from repro.ctmc.reachability import interval_reachability
+        from repro.ctmc.reachability import interval_reachability_analysis
 
         ctmc = CTMC.from_transitions(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0)])
         labels = {"goal": np.array([False, False, True])}
         result = check('P=? [ F[0.5,2.0] "goal" ]', ctmc, labels, epsilon=1e-10)
-        expected = interval_reachability(
+        expected = interval_reachability_analysis(
             ctmc, labels["goal"], 0.5, 2.0, epsilon=1e-10
-        )
+        ).value
         assert result.value == pytest.approx(expected, abs=1e-12)
 
     def test_interval_rejected_on_ctmdp(self):

@@ -144,7 +144,7 @@ class TestAnalysis:
         chain, _configs, goal = build_ctmc(n, gamma=10.0)
         for t in (50.0, 200.0):
             sup = timed_reachability(model.ctmdp, model.goal_mask, t).value(0)
-            approx = ctmc_reachability(chain, goal, t, epsilon=1e-10)[0]
+            approx = ctmc_reachability(chain, goal, t, epsilon=1e-10).values[0]
             assert approx > sup
 
     def test_larger_gamma_shrinks_the_artefact(self):
@@ -154,7 +154,7 @@ class TestAnalysis:
         gaps = []
         for gamma in (10.0, 100.0):
             chain, _c, goal = build_ctmc(n, gamma=gamma)
-            approx = ctmc_reachability(chain, goal, t, epsilon=1e-10)[0]
+            approx = ctmc_reachability(chain, goal, t, epsilon=1e-10).values[0]
             gaps.append(approx - sup)
         assert gaps[1] < gaps[0]
         assert all(gap > 0.0 for gap in gaps)

@@ -98,7 +98,7 @@ class TestAnalysis:
             else:  # pragma: no cover - defensive
                 raise AssertionError("static choice not found")
         chain = model.ctmdp.induced_ctmc(choices)
-        return ctmc_reachability(chain, model.goal_mask, t, epsilon=1e-11)[
+        return ctmc_reachability(chain, model.goal_mask, t, epsilon=1e-11).values[
             model.ctmdp.initial
         ]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.reachability import timed_reachability
-from repro.ctmc.uniformization import steady_state_distribution
+from repro.ctmc.uniformization import steady_state_analysis
 from repro.errors import ModelError
 from repro.imc.transform import imc_to_ctmdp
 from repro.models.zoo import (
@@ -48,7 +48,7 @@ class TestQueue:
 
     def test_steady_state_sums_to_one(self):
         chain, _ = queue_with_breakdowns(capacity=2)
-        pi = steady_state_distribution(chain)
+        pi = steady_state_analysis(chain).distribution
         assert pi.sum() == pytest.approx(1.0)
 
     def test_capacity_validated(self):
@@ -104,15 +104,15 @@ class TestTandemQueue:
         values = []
         for arrival in (0.5, 1.5, 4.0):
             chain, goal = tandem_queue(capacity=2, arrival=arrival)
-            values.append(ctmc_reach(chain, goal, 10.0)[chain.initial])
+            values.append(ctmc_reach(chain, goal, 10.0).values[chain.initial])
         assert values == sorted(values)
 
     def test_steady_state_mass_balances(self):
-        from repro.ctmc.uniformization import steady_state_distribution
+        from repro.ctmc.uniformization import steady_state_analysis
         from repro.models.zoo import tandem_queue
 
         chain, _ = tandem_queue(capacity=2)
-        pi = steady_state_distribution(chain)
+        pi = steady_state_analysis(chain).distribution
         assert pi.sum() == pytest.approx(1.0)
         assert (pi > 0.0).all()  # irreducible
 

@@ -76,15 +76,14 @@ class TestBoundAgainstReference:
     @pytest.mark.parametrize("t", [10.0, 250.0])
     def test_ctmc_reachability_bound_holds(self, t):
         chain, _configs, goal = ftwc_direct.build_ctmc(1)
-        solver = PreparedCTMCReachability(chain, goal)
-        values = solver.solve(t, epsilon=1e-6)
-        certificate = solver.last_certificate
+        result = PreparedCTMCReachability(chain, goal).solve(t, epsilon=1e-6)
+        certificate = result.certificate
         reference = PreparedCTMCReachability(chain, goal).solve(
             t, epsilon=REFERENCE_EPSILON
         )
-        assert certificate is not None and certificate.algorithm == "ctmc.reachability"
+        assert certificate.algorithm == "ctmc.reachability"
         assert certificate.healthy
-        observed = float(np.max(np.abs(values - reference)))
+        observed = float(np.max(np.abs(result.values - reference.values)))
         assert observed <= certificate.error_bound
 
     def test_transient_bound_holds_against_expm(self):

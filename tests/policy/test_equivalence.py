@@ -1,10 +1,10 @@
 """Compressed vs dense scheduler extraction: bitwise equivalence.
 
-The compressed streaming writer is the default recording format; the
-dense matrix stays available behind ``scheduler_format="dense"``
-precisely so these tests can assert the two never diverge -- same
-decisions, same replays, same values, across objectives, horizons and
-the trivial early-return paths.
+The compressed streaming writer is the only recording format; the test
+oracle :class:`tests.oracles.policy.DenseWriter` swaps in the plain
+``iterations x states`` matrix so these tests can assert the two never
+diverge -- same decisions, same replays, same values, across
+objectives, horizons and the trivial early-return paths.
 """
 
 import numpy as np
@@ -12,15 +12,14 @@ import pytest
 
 from repro.core.reachability import (
     PreparedTimedReachability,
-    evaluate_step_scheduler,
     replay_step_scheduler,
     timed_reachability,
 )
 from repro.core.scheduler import greedy_scheduler_from_decisions
 from repro.core.until import timed_until
-from repro.errors import ModelError
 from repro.models import ftwc_direct
 from repro.policy.store import CompressedDecisions
+from tests.oracles.policy import dense_recording
 
 
 @pytest.fixture(scope="module")
@@ -31,65 +30,56 @@ def ftwc():
 class TestReachabilityExtraction:
     @pytest.mark.parametrize("objective", ["max", "min"])
     @pytest.mark.parametrize("t", [10.0, 100.0])
-    def test_compressed_equals_dense(self, ftwc, objective, t):
+    def test_compressed_equals_dense(self, ftwc, objective, t, monkeypatch):
         prepared = PreparedTimedReachability(ftwc.ctmdp, ftwc.goal_mask)
         compressed = prepared.solve(
             t, objective=objective, record_scheduler=True
         )
-        dense = prepared.solve(
-            t, objective=objective, record_scheduler=True, scheduler_format="dense"
-        )
+        with dense_recording(monkeypatch):
+            dense = prepared.solve(t, objective=objective, record_scheduler=True)
         assert isinstance(compressed.decisions, CompressedDecisions)
         assert isinstance(dense.decisions, np.ndarray)
         assert np.array_equal(compressed.decisions.dense(), dense.decisions)
         assert np.array_equal(compressed.values, dense.values)
 
-    def test_long_horizon_stays_lossless(self, ftwc):
+    def test_long_horizon_stays_lossless(self, ftwc, monkeypatch):
         result = timed_reachability(
             ftwc.ctmdp, ftwc.goal_mask, 500.0, record_scheduler=True
         )
-        reference = timed_reachability(
-            ftwc.ctmdp, ftwc.goal_mask, 500.0, record_scheduler=True,
-            scheduler_format="dense",
-        )
+        with dense_recording(monkeypatch):
+            reference = timed_reachability(
+                ftwc.ctmdp, ftwc.goal_mask, 500.0, record_scheduler=True
+            )
         assert result.iterations == len(result.decisions)
         assert np.array_equal(result.decisions.dense(), reference.decisions)
         # A long FTWC run is where compression pays: >=10x smaller.
         assert result.decisions.compression_ratio >= 10.0
 
     def test_trivial_horizons_record_nothing(self, ftwc):
-        for scheduler_format in ("compressed", "dense"):
-            result = timed_reachability(
-                ftwc.ctmdp, ftwc.goal_mask, 0.0, record_scheduler=True,
-                scheduler_format=scheduler_format,
-            )
-            assert result.decisions is None
-            empty = timed_reachability(
-                ftwc.ctmdp, np.zeros(ftwc.ctmdp.num_states, dtype=bool), 10.0,
-                record_scheduler=True, scheduler_format=scheduler_format,
-            )
-            assert empty.decisions is None
-
-    def test_unknown_format_is_rejected(self, ftwc):
-        with pytest.raises(ModelError, match="scheduler_format"):
-            timed_reachability(
-                ftwc.ctmdp, ftwc.goal_mask, 1.0, record_scheduler=True,
-                scheduler_format="sparse",
-            )
+        result = timed_reachability(
+            ftwc.ctmdp, ftwc.goal_mask, 0.0, record_scheduler=True
+        )
+        assert result.decisions is None
+        empty = timed_reachability(
+            ftwc.ctmdp, np.zeros(ftwc.ctmdp.num_states, dtype=bool), 10.0,
+            record_scheduler=True,
+        )
+        assert empty.decisions is None
 
 
 class TestUntilExtraction:
     @pytest.mark.parametrize("objective", ["max", "min"])
-    def test_compressed_equals_dense(self, ftwc, objective):
+    def test_compressed_equals_dense(self, ftwc, objective, monkeypatch):
         safe = np.ones(ftwc.ctmdp.num_states, dtype=bool)
         compressed = timed_until(
             ftwc.ctmdp, safe, ftwc.goal_mask, 50.0, objective=objective,
             record_scheduler=True,
         )
-        dense = timed_until(
-            ftwc.ctmdp, safe, ftwc.goal_mask, 50.0, objective=objective,
-            record_scheduler=True, scheduler_format="dense",
-        )
+        with dense_recording(monkeypatch):
+            dense = timed_until(
+                ftwc.ctmdp, safe, ftwc.goal_mask, 50.0, objective=objective,
+                record_scheduler=True,
+            )
         assert np.array_equal(compressed.decisions.dense(), dense.decisions)
         assert np.array_equal(compressed.values, dense.values)
 
@@ -123,13 +113,13 @@ class TestReplay:
             ftwc.ctmdp, ftwc.goal_mask, t, record_scheduler=True
         )
         scheduler = greedy_scheduler_from_decisions(result.decisions)
-        values = evaluate_step_scheduler(
+        values = replay_step_scheduler(
             ftwc.ctmdp, ftwc.goal_mask, t, scheduler.decisions
         )
-        reference = evaluate_step_scheduler(
+        reference = replay_step_scheduler(
             ftwc.ctmdp, ftwc.goal_mask, t, result.decisions.dense()
         )
-        assert np.array_equal(values, reference)
+        assert np.array_equal(values.values, reference.values)
 
     def test_replay_trivial_horizon(self, ftwc):
         result = replay_step_scheduler(

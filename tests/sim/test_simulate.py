@@ -31,7 +31,7 @@ class TestCTMCSimulation:
         )
         t = 1.5
         estimate = simulate_ctmc_reachability(chain, {1}, t, runs=8000, rng=rng)
-        analytic = timed_reachability(chain, [1], t, epsilon=1e-12)[0]
+        analytic = timed_reachability(chain, [1], t, epsilon=1e-12).values[0]
         low, high = estimate.confidence_interval(z=4.0)
         assert low <= analytic <= high
 
@@ -62,7 +62,7 @@ class TestCTMDPSimulation:
         scheduler = StationaryScheduler.from_list([1, 0, 0])
         induced = ctmdp.induced_ctmc([1, 0, 0])
         t = 0.5
-        analytic = timed_reachability(induced, [2], t, epsilon=1e-12)[0]
+        analytic = timed_reachability(induced, [2], t, epsilon=1e-12).values[0]
         estimate = simulate_ctmdp_reachability(
             ctmdp, scheduler, {2}, t, runs=8000, rng=rng
         )

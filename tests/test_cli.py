@@ -128,6 +128,23 @@ class TestCommands:
         assert code == 3
         assert "Pmax=?" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["Pmax=? [ F<="],
+            ['P=? [ F<=100 "nope" ]'],
+            ['Pmax=? [ F<=100 "no_premium" ]', "--ctmc"],
+        ],
+        ids=["parse-error", "unknown-label", "quantifier-on-ctmc"],
+    )
+    def test_check_bad_query_is_usage_error(self, capsys, argv):
+        # Exit 1 means "violated"; a query that cannot be evaluated is a
+        # usage error (2) with a one-line message and no traceback.
+        assert main(["check", *argv[:1], "--n", "1", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_selfcheck(self, capsys):
         assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
