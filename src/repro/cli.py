@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="self_",
         help="lint the repro source tree itself (Txxx codes: lock "
-        "discipline, lock-order cycles, float equality, "
+        "discipline, nested lock acquisition, float equality, "
         "order-dependent rate sums); combinable with paths to .py "
         "files",
     )
@@ -561,7 +561,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     reports: list[LintReport] = []
     if args.self_:
-        from repro.tsan import lint_self
+        from repro.lint.source import lint_self
 
         reports.append(lint_self())
     for path in args.paths:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,8 +41,6 @@ from repro.io.tra import read_ctmc_tra, read_ctmdp_tra, write_ctmc_tra, write_ct
 from repro.lint.sanitize import sanitize_enabled, sanitize_model
 from repro.models import ftwc, ftwc_direct
 from repro.obs import span
-from repro.tsan.registry import guarded_by
-from repro.tsan.runtime import monitored_lock
 
 __all__ = ["BuiltModel", "ModelRegistry", "default_cache_dir", "describe_spec"]
 
@@ -110,7 +109,6 @@ class BuiltModel:
             raise ModelError(f"unknown goal label {label!r}; known labels: {known}") from None
 
 
-@guarded_by("_lock", "_memory")
 class ModelRegistry:
     """Two-level (memory, disk) content-addressed cache of built models.
 
@@ -121,6 +119,8 @@ class ModelRegistry:
     duplicate build resolves to an identical entry (last insert wins).
     """
 
+    _guarded_by = {"_lock": ("_memory",)}
+
     def __init__(
         self,
         cache_dir: str | Path | None = None,
@@ -129,7 +129,7 @@ class ModelRegistry:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._memory: dict[str, BuiltModel] = {}
-        self._lock = monitored_lock("ModelRegistry._lock")
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lookup

@@ -344,16 +344,6 @@ def _worker_solve_group(
     # A fork-started worker inherits the parent's active tracer in the
     # module global; spans recorded there would vanish with the worker.
     reset_subprocess_tracer()
-    # Under REPRO_SANITIZE the worker also inherits the parent's
-    # observed lock-order graph (the monitor is a module singleton);
-    # those edges were recorded by parent threads this process never
-    # ran, and keeping them could report a T002 cycle no single process
-    # observed.  Start the worker's observation from scratch, mirroring
-    # the tracer reset above.
-    if sanitize_enabled():
-        from repro.tsan.runtime import lock_order_monitor
-
-        lock_order_monitor().reset()
     registry = ModelRegistry(cache_dir=cache_dir)
     payload = None
     if trace_id is None:

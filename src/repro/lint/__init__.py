@@ -19,7 +19,11 @@ A unified diagnostic framework over all model classes of the library:
   cycles, computed with :mod:`repro.graph` (``repro lint --graph``);
 * :mod:`repro.lint.sanitize` -- opt-in sanitizer hooks (the
   ``REPRO_SANITIZE=1`` environment variable or the :func:`sanitizing`
-  context manager) that re-lint models at engine trust boundaries.
+  context manager) that re-lint models at engine trust boundaries;
+* :mod:`repro.lint.source` -- the AST self-lint of the package's own
+  sources (``Txxx``: declared lock guards, nested lock acquisition,
+  float equality, order-dependent rate sums), behind
+  ``repro lint --self``.
 
 The command-line entry point is ``repro lint`` (see :mod:`repro.cli`).
 """

@@ -97,10 +97,10 @@ CODES: dict[str, tuple[Severity, str]] = {
     "Q002": (Severity.WARNING, "goal-free absorbing end component (probability trap)"),
     "Q003": (Severity.ERROR, "reachable deadlock state"),
     "Q004": (Severity.ERROR, "vanishing-state cycle (interactive SCC)"),
-    # --- Concurrency / numeric self-lint (repro.tsan) ---------------------
+    # --- Concurrency / numeric self-lint (repro.lint.source) --------------
     "T001": (Severity.ERROR, "guarded attribute accessed without its lock"),
-    "T002": (Severity.ERROR, "lock-order cycle (potential deadlock)"),
-    "T003": (Severity.ERROR, "lock attribute without @guarded_by declaration"),
+    "T002": (Severity.ERROR, "nested lock acquisition (potential deadlock)"),
+    "T003": (Severity.ERROR, "lock attribute without _guarded_by declaration"),
     "T004": (Severity.ERROR, "bare float equality comparison"),
     "T005": (Severity.ERROR, "order-dependent sum() over rates"),
 }

@@ -142,7 +142,8 @@ def lint_path(path: str | Path, graph: bool = False, **options: bool) -> LintRep
     ------
     ModelError
         When the file cannot be parsed at all (missing headers, wrong
-        field counts, unknown suffix) -- a usage error, not a finding.
+        field counts, invalid Python, unknown suffix) -- a usage error,
+        not a finding.
     OSError
         When the file cannot be read.
     """
@@ -150,11 +151,16 @@ def lint_path(path: str | Path, graph: bool = False, **options: bool) -> LintRep
     if path.suffix == ".py":
         # Source files route to the concurrency/numerics self-lint
         # (``Txxx`` codes) -- this is how the planted defect fixtures
-        # under ``tests/fixtures/tsan/`` are linted individually.
-        from repro.tsan.static import lint_source
+        # under ``tests/fixtures/tsan/`` are linted individually.  Imported
+        # here so model-only callers never load the AST pass.
+        from repro.lint.source import lint_source
 
+        try:
+            diagnostics = lint_source([path])
+        except SyntaxError as exc:
+            raise ModelError(f"not valid Python: {exc}") from None
         report = LintReport(target=str(path), kind="python")
-        report.extend(lint_source([path]))
+        report.extend(diagnostics)
         return report
     if path.suffix == ".tra":
         scan = scan_tra(path)

@@ -41,8 +41,6 @@ from urllib.parse import parse_qs
 from repro.obs.certificate import health_summary
 from repro.obs.export import prometheus_exposition
 from repro.obs.metrics import MetricStore
-from repro.tsan.registry import guarded_by
-from repro.tsan.runtime import monitored_lock
 
 __all__ = ["PROMETHEUS_CONTENT_TYPE", "SpanLog", "TelemetryServer"]
 
@@ -56,7 +54,6 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _MAX_QUERY_VALUE_LENGTH = 9
 
 
-@guarded_by("_lock", "_records")
 class SpanLog:
     """Thread-safe ring buffer of finished span records.
 
@@ -65,9 +62,11 @@ class SpanLog:
     long-lived server cannot grow without limit.
     """
 
+    _guarded_by = {"_lock": ("_records",)}
+
     def __init__(self, maxlen: int = 512) -> None:
         self._records: deque[dict[str, Any]] = deque(maxlen=maxlen)
-        self._lock = monitored_lock("SpanLog._lock")
+        self._lock = threading.Lock()
 
     def extend(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Append finished span records, oldest first."""
@@ -180,7 +179,6 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
         """Silence per-request stderr logging; scrapes are frequent."""
 
 
-@guarded_by("_lock", "_thread")
 class TelemetryServer(ThreadingHTTPServer):
     """HTTP telemetry listener over a metric store and a span log.
 
@@ -194,6 +192,7 @@ class TelemetryServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    _guarded_by = {"_lock": ("_thread",)}
 
     def __init__(
         self,
@@ -205,7 +204,7 @@ class TelemetryServer(ThreadingHTTPServer):
         self.metrics = metrics
         self.span_log = span_log if span_log is not None else SpanLog()
         self._thread: threading.Thread | None = None
-        self._lock = monitored_lock("TelemetryServer._lock")
+        self._lock = threading.Lock()
         super().__init__((host, port), _TelemetryHandler)
 
     @property
@@ -234,8 +233,8 @@ class TelemetryServer(ThreadingHTTPServer):
 
         The listener handle is swapped out under the lock, but
         ``shutdown``/``join`` run outside it: ``shutdown`` blocks until
-        ``serve_forever`` drains, and holding a lock across that wait
-        is exactly the shape the sanitizer exists to flag.
+        ``serve_forever`` drains, and holding the lock across a blocking
+        wait would stall every other caller of the lock.
         """
         with self._lock:
             thread = self._thread

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
-
-from repro.tsan.registry import guarded_by, holds_lock
-from repro.tsan.runtime import monitored_lock
 
 __all__ = ["DEFAULT_BUCKETS", "Histogram", "MetricStore"]
 
@@ -91,9 +89,25 @@ class Histogram:
                 "sum": self.sum, "count": self.count}
 
 
-@guarded_by("_lock", "counters", "timers", "gauges", "histograms", "infos")
+def _gauge_update(name: str, old: float | None, new: float) -> float:
+    """The value gauge ``name`` holds after ``new`` is written over ``old``.
+
+    Last write wins, except that ``*_max`` / ``*_min`` gauges keep the
+    running extremum.
+    """
+    if old is None:
+        return new
+    if name.endswith("_max"):
+        return max(old, new)
+    if name.endswith("_min"):
+        return min(old, new)
+    return new
+
+
 class MetricStore:
     """A thread-safe bag of counters, timers, gauges and histograms."""
+
+    _guarded_by = {"_lock": ("counters", "timers", "gauges", "histograms", "infos")}
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
@@ -101,7 +115,7 @@ class MetricStore:
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self.infos: dict[str, dict[str, str]] = {}
-        self._lock = monitored_lock(f"{type(self).__name__}._lock")
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Recording
@@ -126,16 +140,7 @@ class MetricStore:
         worker snapshots are folded into the parent store.
         """
         with self._lock:
-            self._set_gauge(name, float(value))
-
-    @holds_lock("_lock")
-    def _set_gauge(self, name: str, value: float) -> None:
-        if name in self.gauges:
-            if name.endswith("_max"):
-                value = max(self.gauges[name], value)
-            elif name.endswith("_min"):
-                value = min(self.gauges[name], value)
-        self.gauges[name] = value
+            self.gauges[name] = _gauge_update(name, self.gauges.get(name), float(value))
 
     def observe(self, name: str, value: float,
                 bounds: Sequence[float] | None = None) -> None:
@@ -179,33 +184,42 @@ class MetricStore:
         parent's collector.  Counters, timers and histograms add;
         gauges take the incoming value (with the ``_max``/``_min``
         extremum rule of :meth:`gauge`); infos overwrite.
+
+        The snapshot applies all or nothing: it is validated in full
+        (including every histogram's bucket bounds) before anything is
+        mutated, and then applied under one acquisition of the lock, so
+        a concurrent reader sees either none of it or all of it.
         """
-        if isinstance(other, MetricStore):
-            with other._lock:
-                snapshot = other.as_dict_unlocked()
-        else:
-            snapshot = other
-        counters = snapshot.get("counters", {})
-        timers = snapshot.get("timers", {})
-        gauges = snapshot.get("gauges", {})
-        histograms = snapshot.get("histograms", {})
-        infos = snapshot.get("infos", {})
-        for name, value in counters.items():
-            self.count(name, int(value))
-        for name, value in timers.items():
-            self.add_time(name, float(value))
+        snapshot = other.as_dict() if isinstance(other, MetricStore) else other
+        counters = {name: int(value) for name, value in snapshot.get("counters", {}).items()}
+        timers = {name: float(value) for name, value in snapshot.get("timers", {}).items()}
+        gauges = {name: float(value) for name, value in snapshot.get("gauges", {}).items()}
+        infos = {name: dict(labels) for name, labels in snapshot.get("infos", {}).items()}
+        histograms: dict[str, Histogram] = {}
+        for name, data in snapshot.get("histograms", {}).items():
+            bounds = data["bounds"] if isinstance(data, Mapping) else data.bounds
+            staged = Histogram(bounds=tuple(bounds))
+            staged.merge(data)
+            histograms[name] = staged
         with self._lock:
+            for name, histogram in histograms.items():
+                existing = self.histograms.get(name)
+                if existing is not None and tuple(existing.bounds) != histogram.bounds:
+                    raise ValueError(
+                        f"cannot merge histogram {name!r}: different bucket bounds"
+                    )
+            for name, increment in counters.items():
+                self.counters[name] = self.counters.get(name, 0) + increment
+            for name, seconds in timers.items():
+                self.timers[name] = self.timers.get(name, 0.0) + seconds
             for name, value in gauges.items():
-                self._set_gauge(name, float(value))
-            for name, data in histograms.items():
-                histogram = self.histograms.get(name)
-                if histogram is None:
-                    bounds = data["bounds"] if isinstance(data, Mapping) else data.bounds
-                    histogram = Histogram(bounds=tuple(bounds))
+                self.gauges[name] = _gauge_update(name, self.gauges.get(name), value)
+            for name, histogram in histograms.items():
+                if name in self.histograms:
+                    self.histograms[name].merge(histogram)
+                else:
                     self.histograms[name] = histogram
-                histogram.merge(data)
-            for name, labels in infos.items():
-                self.infos[name] = dict(labels)
+            self.infos.update(infos)
 
     # ------------------------------------------------------------------
     # Reading
@@ -225,28 +239,6 @@ class MetricStore:
         with self._lock:
             return self.gauges.get(name, default)
 
-    @holds_lock("_lock")
-    def as_dict_unlocked(self) -> dict:
-        """The snapshot without taking the lock (callers must hold it)."""
-        snapshot: dict = {
-            "counters": dict(sorted(self.counters.items())),
-            "timers": {name: float(value) for name, value in sorted(self.timers.items())},
-        }
-        if self.gauges:
-            snapshot["gauges"] = {
-                name: float(value) for name, value in sorted(self.gauges.items())
-            }
-        if self.histograms:
-            snapshot["histograms"] = {
-                name: histogram.as_dict()
-                for name, histogram in sorted(self.histograms.items())
-            }
-        if self.infos:
-            snapshot["infos"] = {
-                name: dict(labels) for name, labels in sorted(self.infos.items())
-            }
-        return snapshot
-
     def as_dict(self) -> dict:
         """JSON-compatible snapshot.
 
@@ -255,7 +247,24 @@ class MetricStore:
         keeps the engine's historical batch-result shape stable.
         """
         with self._lock:
-            return self.as_dict_unlocked()
+            snapshot: dict = {
+                "counters": dict(sorted(self.counters.items())),
+                "timers": {name: float(value) for name, value in sorted(self.timers.items())},
+            }
+            if self.gauges:
+                snapshot["gauges"] = {
+                    name: float(value) for name, value in sorted(self.gauges.items())
+                }
+            if self.histograms:
+                snapshot["histograms"] = {
+                    name: histogram.as_dict()
+                    for name, histogram in sorted(self.histograms.items())
+                }
+            if self.infos:
+                snapshot["infos"] = {
+                    name: dict(labels) for name, labels in sorted(self.infos.items())
+                }
+        return snapshot
 
     def dumps(self, indent: int | None = None) -> str:
         """The snapshot serialised as a JSON string."""

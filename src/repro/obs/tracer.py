@@ -382,7 +382,7 @@ def _render_attributes(attributes: dict[str, Any]) -> str:
 # (:class:`~repro.obs.http.SpanLog`, :class:`~repro.obs.metrics.MetricStore`),
 # and worker results re-enter the owning thread's tracer via
 # :meth:`Tracer.adopt`.  The module global below is therefore exempt
-# from the ``@guarded_by`` discipline checked by ``repro lint --self``:
+# from the ``_guarded_by`` discipline checked by ``repro lint --self``:
 # ``current_tracer()``/``span()`` perform a single reference read
 # (atomic in CPython), while the activate/deactivate transitions in
 # :func:`tracing` and :func:`reset_subprocess_tracer` -- the only
@@ -390,8 +390,8 @@ def _render_attributes(attributes: dict[str, Any]) -> str:
 _ACTIVE: Tracer | None = None
 
 #: Serialises the activate/deactivate transitions of ``_ACTIVE``; never
-#: held while user code runs, so it cannot participate in a lock-order
-#: cycle with the monitored telemetry locks.
+#: held while user code runs, so no other lock is ever taken under it
+#: (the T002 nesting rule of ``repro lint --self``).
 _ACTIVE_LOCK = threading.Lock()
 
 #: Shared, re-enterable no-op context manager returned while tracing is

@@ -1,23 +1,21 @@
 """Planted defect: two locks taken in opposite nested orders (T002).
 
 ``transfer`` locks the ledger then the journal; ``audit`` locks the
-journal then the ledger.  Either order alone is fine -- together they
-form a cycle in the lock-order graph, i.e. a potential deadlock when
-the two methods race.  ``repro lint defect_lock_cycle.py`` must report
-``T002`` naming both locks.
+journal then the ledger.  When the two methods race, each can hold the
+lock the other waits for: a deadlock.  The self-lint forbids nested
+acquisition outright, so ``repro lint defect_lock_cycle.py`` must
+report ``T002`` at both nesting sites, each naming both locks.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.tsan import guarded_by
 
-
-@guarded_by("_ledger_lock", "_balance")
-@guarded_by("_journal_lock", "_journal")
 class CyclicLedger:
     """Ledger + journal with inconsistent nested lock order."""
+
+    _guarded_by = {"_ledger_lock": ("_balance",), "_journal_lock": ("_journal",)}
 
     def __init__(self) -> None:
         self._ledger_lock = threading.Lock()

@@ -1,4 +1,4 @@
-"""Planted defect: a lock attribute with no ``@guarded_by`` declaration (T003).
+"""Planted defect: a lock attribute with no ``_guarded_by`` declaration (T003).
 
 The class owns ``self._lock`` but never declares which attributes the
 lock guards, so the T001 pass has nothing to check -- the discipline

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import threading
 
-from repro.tsan import guarded_by
 
-
-@guarded_by("_lock", "_count", "_payloads")
 class RacyEventLog:
     """An event log whose record path forgot to take its lock."""
+
+    _guarded_by = {"_lock": ("_count", "_payloads")}
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -33,8 +33,8 @@ class TestCodes:
 
     def test_self_lint_codes_present(self):
         assert "without its lock" in code_title("T001")
-        assert "deadlock" in code_title("T002")
-        assert "@guarded_by" in code_title("T003")
+        assert "nested lock" in code_title("T002")
+        assert "_guarded_by" in code_title("T003")
         assert "float equality" in code_title("T004")
         assert "sum()" in code_title("T005")
 

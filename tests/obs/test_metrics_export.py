@@ -1,5 +1,7 @@
 """MetricStore, EngineMetrics compatibility, and Prometheus exposition."""
 
+import pytest
+
 from repro.engine.metrics import EngineMetrics
 from repro.obs import MetricStore, prometheus_exposition
 
@@ -30,6 +32,21 @@ class TestMetricStore:
         a.merge({"counters": {"x": 1}, "timers": {"y_seconds": 0.5}})
         assert a.counter("x") == 6
         assert a.seconds("y_seconds") == 1.5
+
+    def test_rejected_merge_changes_nothing(self):
+        store = MetricStore()
+        store.count("queries_total")
+        store.observe("lat", 0.5)
+        before = store.as_dict()
+        snapshot = {
+            "counters": {"queries_total": 3},
+            "timers": {"solve_seconds": 1.0},
+            "gauges": {"g": 1.0},
+            "histograms": {"lat": {"bounds": [1.0], "counts": [1, 0], "sum": 0.5}},
+        }
+        with pytest.raises(ValueError, match="bucket bounds"):
+            store.merge(snapshot)
+        assert store.as_dict() == before
 
     def test_engine_metrics_is_a_metric_store(self):
         """The engine's historical class is the shared core -- merge and

@@ -3,7 +3,7 @@
 :class:`~repro.obs.http.SpanLog` serves a threaded HTTP server: pool
 workers' span exports and ``/traces`` reads genuinely race.  These
 tests swap the log's ``_lock`` for a harness
-:class:`~repro.tsan.harness.CooperativeLock` and drive the *same
+:class:`~tests.tsan.harness.CooperativeLock` and drive the *same
 shipped code* through adversarial, line-level interleavings — every
 seed must leave the log consistent, and the whole schedule is a pure
 function of the seed, so a failure here replays exactly in CI.
@@ -11,9 +11,9 @@ function of the seed, so a failure here replays exactly in CI.
 
 import repro.obs.http as http_mod
 from repro.obs.http import SpanLog
-from repro.tsan.harness import InterleavingHarness
+from tests.tsan.harness import InterleavingHarness
 
-#: Seeds replayed here and by the CI ``tsan`` job.
+#: Seeds replayed for every interleaving test.
 SEEDS = range(8)
 
 

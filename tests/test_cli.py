@@ -206,9 +206,19 @@ class TestLintCommand:
         capsys.readouterr()
         assert main(argv + ["--strict"]) == 1
 
-    def test_unreadable_file_is_usage_error(self, tmp_path, capsys):
-        assert main(["lint", str(tmp_path / "missing.tra")]) == 2
-        assert "cannot lint" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "name, content",
+        [("missing.tra", None), ("missing.py", None), ("broken.py", "def f(:\n")],
+        ids=["missing.tra", "missing.py", "broken.py"],
+    )
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        assert main(["lint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot lint" in captured.err
+        assert "T003" not in captured.out
 
     def test_unknown_suffix_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "model.bin"

@@ -5,18 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import LintError
-from repro.tsan.harness import (
-    CooperativeLock,
-    HarnessDeadlock,
-    InterleavingHarness,
-    find_racy_seed,
-)
+from tests.tsan.harness import HarnessDeadlock, InterleavingHarness, find_racy_seed
 
 FIXTURES = Path(__file__).parents[1] / "fixtures" / "tsan"
 
-#: Seed range scanned for a witnessing interleaving; the CI ``tsan``
-#: job replays the same range, so keep it in sync with ci.yml.
+#: Seed range scanned for a witnessing interleaving.
 SEED_RANGE = range(32)
 
 
@@ -115,28 +108,6 @@ class TestCooperativeLock:
         result = harness.run()
         assert result.ok
         assert len(outcomes) == 1
-
-    def test_cooperative_lock_feeds_monitor(self):
-        harness = InterleavingHarness(seed=1)
-        a = harness.lock("A")
-        b = harness.lock("B")
-        errors: list[BaseException] = []
-
-        def nested(first: CooperativeLock, second: CooperativeLock) -> None:
-            try:
-                with first, second:
-                    pass
-            except LintError as error:
-                errors.append(error)
-
-        harness.add(lambda: nested(a, b))
-        harness.add(lambda: nested(b, a))
-        result = harness.run()
-        # Whichever body the seed runs first records its edge; the
-        # opposite nesting then closes the ABBA cycle and is flagged.
-        assert result.ok
-        assert len(errors) == 1
-        assert "T002" in str(errors[0])
 
 
 class TestPlantedRace:

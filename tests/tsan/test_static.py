@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.lint import lint_path
-from repro.tsan import guarded_by, guards_of, held_by_caller, holds_lock
-from repro.tsan.static import lint_self, lint_source, source_root
+from repro.lint.source import lint_self, lint_source, source_root
 
 FIXTURES = Path(__file__).parents[1] / "fixtures" / "tsan"
 
@@ -16,52 +15,88 @@ def codes_of(path: Path) -> set[str]:
     return {d.code for d in lint_source([path])}
 
 
+def write_source(path: Path, *lines: str) -> Path:
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestRegistry:
-    def test_guarded_by_records_discipline(self):
-        @guarded_by("_lock", "a", "b")
-        class Guarded:
-            pass
+    """The ``_guarded_by`` class attribute, as the static pass reads it."""
 
-        assert guards_of(Guarded) == {"_lock": frozenset({"a", "b"})}
+    def test_guarded_by_records_discipline(self, tmp_path):
+        path = write_source(
+            tmp_path / "declared.py",
+            "import threading",
+            "class Guarded:",
+            "    _guarded_by = {'_lock': ('a', 'b')}",
+            "    def __init__(self):",
+            "        self._lock = threading.Lock()",
+            "        self.a = self.b = 0",
+            "    def safe(self):",
+            "        with self._lock:",
+            "            self.a += 1",
+            "    def unsafe(self):",
+            "        self.b = 1",
+        )
+        [finding] = lint_source([path])
+        assert finding.code == "T001"
+        assert "Guarded.b" in finding.message and "Guarded._lock" in finding.message
 
-    def test_guarded_by_merges_multiple_locks(self):
-        @guarded_by("_lock_x", "x")
-        @guarded_by("_lock_y", "y")
-        class TwoLocks:
-            pass
+    def test_guarded_by_merges_multiple_locks(self, tmp_path):
+        path = write_source(
+            tmp_path / "two_locks.py",
+            "import threading",
+            "class TwoLocks:",
+            "    _guarded_by = {'_lock_x': ('x',), '_lock_y': ('y',)}",
+            "    def __init__(self):",
+            "        self._lock_x = threading.Lock()",
+            "        self._lock_y = threading.Lock()",
+            "        self.x = self.y = 0",
+            "    def wrong_lock(self):",
+            "        with self._lock_y:",
+            "            self.x += 1",
+        )
+        [finding] = lint_source([path])
+        assert finding.code == "T001"
+        assert "TwoLocks.x is guarded by TwoLocks._lock_x" in finding.message
 
-        assert guards_of(TwoLocks) == {
-            "_lock_x": frozenset({"x"}),
-            "_lock_y": frozenset({"y"}),
-        }
+    def test_subclass_extends_without_mutating_parent(self, tmp_path):
+        path = write_source(
+            tmp_path / "inherited.py",
+            "import threading",
+            "class Parent:",
+            "    _guarded_by = {'_lock': ('a',)}",
+            "    def __init__(self):",
+            "        self._lock = threading.Lock()",
+            "        self.a = 0",
+            "    def touch_b(self):",
+            "        self.b = 1",
+            "class Child(Parent):",
+            "    _guarded_by = {'_lock': ('b',)}",
+            "    def touch_a(self):",
+            "        self.a = 1",
+            "    def touch_b_again(self):",
+            "        self.b = 2",
+        )
+        findings = lint_source([path])
+        # The child inherits the parent's lock and its guard on ``a``;
+        # the parent does not learn the child's guard on ``b``.
+        assert [(d.code, d.location) for d in findings] == [
+            ("T001", "inherited.py:12"),
+            ("T001", "inherited.py:14"),
+        ]
 
-    def test_subclass_extends_without_mutating_parent(self):
-        @guarded_by("_lock", "a")
-        class Parent:
-            pass
-
-        @guarded_by("_lock", "b")
-        class Child(Parent):
-            pass
-
-        assert guards_of(Parent) == {"_lock": frozenset({"a"})}
-        assert guards_of(Child) == {"_lock": frozenset({"a", "b"})}
-
-    def test_guarded_by_rejects_non_identifiers(self):
-        with pytest.raises(ValueError):
-            guarded_by("not an identifier", "a")
-
-    def test_holds_lock_is_queryable(self):
-        class Store:
-            @holds_lock("_lock")
-            def _unsafe(self):
-                pass
-
-            def safe(self):
-                pass
-
-        assert held_by_caller(Store._unsafe) == "_lock"
-        assert held_by_caller(Store.safe) is None
+    def test_bare_string_declaration_is_t003(self, tmp_path):
+        # ``("_records")`` is a string, not a one-element tuple.
+        path = write_source(
+            tmp_path / "malformed.py",
+            "import threading",
+            "class Log:",
+            "    _guarded_by = {'_lock': ('_records')}",
+            "    def __init__(self):",
+            "        self._lock = threading.Lock()",
+        )
+        assert [d.code for d in lint_source([path])] == ["T003"]
 
 
 class TestPlantedFixtures:
@@ -73,11 +108,79 @@ class TestPlantedFixtures:
         assert "_count" in messages and "RacyEventLog._lock" in messages
 
     def test_lock_cycle_is_t002(self):
+        # One finding per nesting site, each naming both locks.
         diagnostics = lint_source([FIXTURES / "defect_lock_cycle.py"])
-        assert {d.code for d in diagnostics} == {"T002"}
-        [cycle] = diagnostics
-        assert "_journal_lock" in cycle.message
-        assert "_ledger_lock" in cycle.message
+        assert [d.code for d in diagnostics] == ["T002", "T002"]
+        for nesting in diagnostics:
+            assert "_journal_lock" in nesting.message
+            assert "_ledger_lock" in nesting.message
+
+    def test_consistent_nesting_is_t002(self, tmp_path):
+        # No cycle here -- every path takes _outer before _inner -- but
+        # any nested acquisition is reported.
+        path = write_source(
+            tmp_path / "nested.py",
+            "import threading",
+            "class Pair:",
+            "    _guarded_by = {'_outer': ('a',), '_inner': ('b',)}",
+            "    def __init__(self):",
+            "        self._outer = threading.Lock()",
+            "        self._inner = threading.Lock()",
+            "        self.a = self.b = 0",
+            "    def bump(self):",
+            "        with self._outer:",
+            "            with self._inner:",
+            "                self.a += 1",
+            "                self.b += 1",
+            "    def bump_again(self):",
+            "        with self._outer, self._inner:",
+            "            self.a += 1",
+            "            self.b += 1",
+        )
+        findings = lint_source([path])
+        assert [d.location for d in findings] == ["nested.py:10", "nested.py:14"]
+        for finding in findings:
+            assert finding.code == "T002"
+            assert "Pair._inner acquired while holding Pair._outer" in finding.message
+
+    def test_call_through_relock_is_t002(self, tmp_path):
+        path = write_source(
+            tmp_path / "relock.py",
+            "import threading",
+            "class Counter:",
+            "    _guarded_by = {'_lock': ('n',)}",
+            "    def __init__(self):",
+            "        self._lock = threading.Lock()",
+            "        self.n = 0",
+            "    def count(self):",
+            "        with self._lock:",
+            "            self.n += 1",
+            "    def count_twice(self):",
+            "        with self._lock:",
+            "            self.count()",
+        )
+        [finding] = lint_source([path])
+        assert finding.code == "T002"
+        assert finding.location == "relock.py:12"
+        assert "Counter._lock (via count())" in finding.message
+
+    def test_sequential_locks_are_clean(self, tmp_path):
+        path = write_source(
+            tmp_path / "sequential.py",
+            "import threading",
+            "class Pair:",
+            "    _guarded_by = {'_outer': ('a',), '_inner': ('b',)}",
+            "    def __init__(self):",
+            "        self._outer = threading.Lock()",
+            "        self._inner = threading.Lock()",
+            "        self.a = self.b = 0",
+            "    def bump(self):",
+            "        with self._outer:",
+            "            self.a += 1",
+            "        with self._inner:",
+            "            self.b += 1",
+        )
+        assert lint_source([path]) == []
 
     def test_undeclared_lock_is_t003(self):
         assert codes_of(FIXTURES / "defect_undeclared_lock.py") == {"T003"}
