@@ -39,24 +39,28 @@ ABSOLUTE_SLACK = 2e-3
 
 def _reference_solve(prepared: PreparedTimedReachability, t: float) -> np.ndarray:
     """The pre-instrumentation backward loop, byte-for-byte the same
-    arithmetic as ``PreparedTimedReachability.solve`` without any
-    tracing hooks -- the baseline the overhead is measured against."""
+    active-set arithmetic as ``PreparedTimedReachability.solve`` without
+    any tracing hooks -- the baseline the overhead is measured against."""
+    active = prepared._active_set("max")
     fg = fox_glynn(prepared.rate * t, EPSILON)
     psi = fg.probabilities()
-    segments = prepared.segments
-    prob = prepared.prob
-    prob_to_goal = prepared.prob_to_goal
-    goal_idx = prepared.goal_idx
-    q = np.zeros(prepared.num_states)
+    num_active = len(active.states)
+    num_multi = active.num_multi
+    multi_rows = int(active.row_ptr[num_multi])
+    q = np.zeros(active.matrix.shape[1])
+    transition_values = np.empty(active.matrix.shape[0])
+    g = 0.0
     for i in range(fg.right, 0, -1):
         psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-        transition_values = psi_i * prob_to_goal + prob @ q
-        new_q = np.zeros(prepared.num_states)
-        new_q[segments.nonempty] = segment_reduce(transition_values, segments, "max")
-        new_q[goal_idx] = psi_i + q[goal_idx]
-        q = new_q
-    values = q.copy()
-    values[goal_idx] = 1.0
+        np.multiply(active.prob_to_goal, psi_i, out=transition_values)
+        transition_values += active.matrix @ q
+        q[:num_multi] = segment_reduce(transition_values[:multi_rows], active.multi, "max")
+        q[num_multi:num_active] = transition_values[multi_rows:]
+        g = psi_i + g
+        q[num_active:].fill(g)
+    values = np.zeros(prepared.num_states)
+    values[active.states] = q[:num_active]
+    values[prepared.mask] = 1.0
     np.clip(values, 0.0, 1.0, out=values)
     return values
 

@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--precompute",
         action="store_true",
         help="clamp qualitatively-decided (Prob0/Prob1) states before "
-        "iterating in the CTMDP engines; values agree with the plain "
-        "sweep within epsilon",
+        "iterating in the CTMDP engines; timed values are identical; "
+        "unbounded values agree within epsilon",
     )
     from repro.policy.options import add_save_policy_option
 

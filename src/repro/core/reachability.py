@@ -32,7 +32,13 @@ Implementation notes (cf. Section 4.2): the rate matrix is stored as a
 is a sparse matrix-vector product followed by a segmented optimum over
 each state's contiguous block of transition rows (see
 :mod:`repro.core.segments` for the shared segment machinery, including
-the objective-aware tie handling of the scheduler extraction).
+the objective-aware tie handling of the scheduler extraction).  Only the
+rows of the *active* states -- outside ``B``, with at least one
+transition -- are multiplied: the goal states share the scalar value
+``g_i = psi(i) + g_{i+1}``, and every other state stays 0.  The active
+rows are sliced out once per prepared model with their entries in
+stored order, so each step performs exactly the floating-point
+operations of the full-row recursion on the rows it keeps.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from time import perf_counter
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.ctmdp import CTMDP
 from repro.core.segments import (
@@ -100,9 +107,9 @@ class ReachabilityResult:
         accounting, sweep residual and the certified a-posteriori error
         bound (see :mod:`repro.obs.certificate`).
     states_eliminated:
-        Number of states the qualitative precomputation removed from
-        the numeric sweep (known-zero states clamped, goal states folded
-        into a scalar recursion).  Zero without ``precompute=True``.
+        With ``precompute=True``, the number of states outside the
+        sweep: the goal states and the objective's Prob0 set.  Zero
+        without it.
     """
 
     values: np.ndarray
@@ -120,13 +127,134 @@ class ReachabilityResult:
         return float(self.values[state])
 
 
+@dataclass(frozen=True)
+class _ActiveSet:
+    """The states one backward sweep iterates, laid out for the step.
+
+    Built once per model, goal and inactive set in ``O(nnz)``.  The
+    active states -- not goal, not inactive, with at least one
+    transition -- are ordered multi-choice first, so the optimisation
+    reduces only over their rows and every single-choice state copies
+    its one row.  ``matrix`` holds their transition rows, sliced out of
+    the ``T x S`` matrix with every row's entries in stored order, and
+    its columns index a value vector laid out as
+
+        [ active states (in ``states`` order) | referenced goal states ]
+
+    so one step is the same sequence of floating-point operations as a
+    full-row step on exactly the rows it keeps.  Columns of inactive
+    non-goal states are dropped: their value is 0 at every step, and
+    adding ``+0.0`` to a non-negative partial sum changes no bit.
+    """
+
+    #: Original state index per active state, multi-choice states first.
+    states: np.ndarray
+    #: Number of multi-choice states (a prefix of ``states``).
+    num_multi: int
+    #: Segments of the multi-choice states over the rows of ``matrix``.
+    multi: SegmentIndex
+    #: Local ``choice_ptr`` over ``states``: their rows in ``matrix``.
+    row_ptr: np.ndarray
+    matrix: sp.csr_matrix
+    prob_to_goal: np.ndarray
+    #: Decision row of every state the sweep does not optimise: ``0``
+    #: (the first transition) where a state has transitions, ``-1``
+    #: where it has none, the zero witness of a clamped Prob0E state.
+    template: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        prob: sp.csr_matrix,
+        prob_to_goal: np.ndarray,
+        choice_ptr: np.ndarray,
+        goal: np.ndarray,
+        inactive: np.ndarray | None = None,
+        witness: np.ndarray | None = None,
+    ) -> "_ActiveSet":
+        choice_ptr = np.asarray(choice_ptr)
+        counts = np.diff(choice_ptr)
+        candidate = ~goal & (counts > 0)
+        if inactive is not None:
+            candidate &= ~inactive
+        multi_states = np.flatnonzero(candidate & (counts > 1))
+        states = np.concatenate((multi_states, np.flatnonzero(candidate & (counts == 1))))
+        num_active = len(states)
+        row_counts = counts[states]
+        row_ptr = np.concatenate(([0], np.cumsum(row_counts)))
+        rows = np.repeat(choice_ptr[states] - row_ptr[:-1], row_counts) + np.arange(
+            row_ptr[-1]
+        )
+        sub = prob[rows]  # row slicing keeps each row's entries in order
+
+        referenced = np.zeros(len(goal), dtype=bool)
+        referenced[sub.indices] = True
+        goal_columns = np.flatnonzero(referenced & goal)
+        column = np.full(len(goal), -1, dtype=sub.indices.dtype)
+        column[states] = np.arange(num_active)
+        column[goal_columns] = num_active + np.arange(len(goal_columns))
+        mapped = column[sub.indices]
+        keep = mapped >= 0
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        matrix = sp.csr_matrix(
+            (sub.data[keep], mapped[keep], kept_before[sub.indptr]),
+            shape=(len(rows), num_active + len(goal_columns)),
+        )
+
+        template = np.where(counts > 0, 0, -1).astype(np.int32)
+        if witness is not None:
+            chosen = witness >= 0
+            template[chosen] = witness[chosen].astype(np.int32)
+        return cls(
+            states=states,
+            num_multi=len(multi_states),
+            multi=SegmentIndex.from_choice_ptr(row_ptr[: len(multi_states) + 1]),
+            row_ptr=row_ptr,
+            matrix=matrix,
+            prob_to_goal=prob_to_goal[rows],
+            template=template,
+        )
+
+    def values(self, q: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, float]:
+        """Per-state values of a finished sweep over ``q`` (goal states
+        1, inactive states 0), clipped to ``[0, 1]``, and the largest
+        excursion outside ``[0, 1]`` before the clip."""
+        values = np.zeros(len(goal))
+        values[self.states] = q[: len(self.states)]
+        values[goal] = 1.0
+        residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
+        np.clip(values, 0.0, 1.0, out=values)
+        return values, residual
+
+
+def _zero_set(
+    ctmdp: CTMDP, goal: np.ndarray, objective: str, safe: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The states whose timed value is 0 at every horizon, per objective.
+
+    Prob0A for ``max`` (no path reaches the goal), Prob0E for ``min``
+    with its witness choice (per state, a transition whose whole support
+    stays inside the zero region; ``-1`` where none is needed), which a
+    recorded scheduler carries so that replaying it reproduces the zero.
+    """
+    from repro.graph.qualitative import prob0_exists, prob0_forall
+    from repro.graph.structure import TransitionGraph
+
+    graph = TransitionGraph.from_ctmdp(ctmdp)
+    if objective == "max":
+        return prob0_forall(graph, goal, safe=safe), None
+    zero, witness = prob0_exists(graph, goal, safe=safe, with_witness=True)
+    return zero, witness
+
+
 class PreparedTimedReachability:
     """Reusable setup for repeated timed-reachability solves on one model.
 
     The expensive, time-bound-independent part of Algorithm 1 -- the
     row-stochastic ``T x S`` probability matrix, the per-transition
-    goal-hitting probabilities and the segment bookkeeping for the
-    per-state optimisation -- is computed once in the constructor; each
+    goal-hitting probabilities and the active set the backward sweep
+    iterates (the non-goal states with transitions, their rows sliced
+    out once) -- is computed once in the constructor; each
     :meth:`solve` call then only performs the Fox-Glynn computation for
     its own ``(t, epsilon)`` and the backward iteration.  A whole time
     sweep over one ``(model, goal)`` pair therefore shares a single
@@ -135,15 +263,12 @@ class PreparedTimedReachability:
     :func:`timed_reachability` delegates to this class, so prepared and
     one-shot solves are bitwise-identical.
 
-    With ``precompute=True`` every :meth:`solve` first runs the
-    qualitative graph analysis (:mod:`repro.graph.qualitative`): states
-    with a known answer -- the zero set of the requested objective, and
-    the goal states whose value follows a scalar recursion -- are
-    removed from the numeric sweep, which then runs on the reduced
-    sub-matrix of undecided states only.  Answers agree with the
-    unclamped sweep within the solver's certified error bound but are
-    *not* bitwise identical (the reduced mat-vec accumulates round-off
-    in a different order), hence the opt-in default.
+    With ``precompute=True`` the active set additionally leaves out the
+    zero set of the requested objective (:mod:`repro.graph.qualitative`),
+    computed on the first :meth:`solve` per objective and cached.  Those
+    states are exactly 0 at every step of the plain sweep too, so the
+    answers are bitwise identical to the plain ones; the result reports
+    the eliminated states.
     """
 
     def __init__(
@@ -156,7 +281,7 @@ class PreparedTimedReachability:
         self.mask = state_mask(ctmdp.num_states, goal, "goal state")
         self.num_states = ctmdp.num_states
         self.precompute = bool(precompute)
-        self._zero_cache: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._active: dict[str, _ActiveSet] = {}
         self._ready = False
         if not self.mask.any():
             return
@@ -165,14 +290,12 @@ class PreparedTimedReachability:
             raise NonUniformError("uniform rate must be strictly positive for analysis")
         self.rate = rate
         self.prob = ctmdp.probability_matrix()  # T x S, row-stochastic
-        self.goal_vec = self.mask.astype(np.float64)
-        self.prob_to_goal = self.prob @ self.goal_vec  # Pr_R(s, B) per row
-
-        # Segment bookkeeping for the per-state optimisation: transitions
-        # are sorted by source, so each state's rows are contiguous.
-        # States without transitions keep value 0 (they cannot reach B).
-        self.segments = SegmentIndex.from_choice_ptr(ctmdp.choice_ptr)
-        self.goal_idx = np.flatnonzero(self.mask)
+        self.prob_to_goal = self.prob @ self.mask.astype(np.float64)  # Pr_R(s, B)
+        if not self.precompute:
+            plain = _ActiveSet.build(
+                self.prob, self.prob_to_goal, ctmdp.choice_ptr, self.mask
+            )
+            self._active = {"max": plain, "min": plain}
         self._ready = True
 
     def _trivial_result(self, t: float, epsilon: float, objective: str) -> ReachabilityResult:
@@ -193,32 +316,17 @@ class PreparedTimedReachability:
             certificate=NumericalCertificate.trivial("ctmdp.reachability", epsilon),
         )
 
-    def _zero_info(self, objective: str) -> tuple[np.ndarray, np.ndarray | None]:
-        """The known-zero states of ``objective`` (cached per objective).
-
-        For ``max`` these are the Prob0A states (no path to the goal at
-        all); for ``min`` the Prob0E states, together with the witness
-        choice (per state, the local index of a transition whose whole
-        support stays inside the zero region) that a recorded scheduler
-        must carry so that replaying it reproduces the zero.
-        """
-        cached = self._zero_cache.get(objective)
-        if cached is not None:
-            return cached
-        from repro.graph.qualitative import prob0_exists, prob0_forall
-        from repro.graph.structure import TransitionGraph
-
-        graph = TransitionGraph.from_ctmdp(self.ctmdp)
-        if objective == "max":
-            info: tuple[np.ndarray, np.ndarray | None] = (
-                prob0_forall(graph, self.mask),
-                None,
+    def _active_set(self, objective: str) -> _ActiveSet:
+        """The active set of ``objective`` (built once per objective;
+        only the ``precompute`` sets depend on it)."""
+        active = self._active.get(objective)
+        if active is None:
+            zero, witness = _zero_set(self.ctmdp, self.mask, objective)
+            active = _ActiveSet.build(
+                self.prob, self.prob_to_goal, self.ctmdp.choice_ptr, self.mask, zero, witness
             )
-        else:
-            zero, witness = prob0_exists(graph, self.mask, with_witness=True)
-            info = (zero, witness)
-        self._zero_cache[objective] = info
-        return info
+            self._active[objective] = active
+        return active
 
     def solve(
         self,
@@ -241,37 +349,17 @@ class PreparedTimedReachability:
         if t == 0.0 or not self._ready:
             return self._trivial_result(t, epsilon, objective)
 
-        if self.precompute:
-            zero, witness = self._zero_info(objective)
-            return _clamped_sweep(
-                prob=self.prob,
-                prob_to_goal=self.prob_to_goal,
-                choice_ptr=np.asarray(self.ctmdp.choice_ptr),
-                num_states=self.num_states,
-                mask=self.mask,
-                zero=zero,
-                witness=witness,
-                rate=self.rate,
-                t=t,
-                epsilon=epsilon,
-                objective=objective,
-                record_scheduler=record_scheduler,
-                span_name="reachability.sweep",
-                algorithm="ctmdp.reachability",
-            )
-
         return _sweep(
-            prob=self.prob,
-            prob_to_goal=self.prob_to_goal,
-            segments=self.segments,
+            active=self._active_set(objective),
             num_states=self.num_states,
             num_transitions=self.ctmdp.num_transitions,
-            goal_idx=self.goal_idx,
+            goal=self.mask,
             rate=self.rate,
             t=t,
             epsilon=epsilon,
             objective=objective,
             record_scheduler=record_scheduler,
+            precompute=self.precompute,
             span_name="reachability.sweep",
             algorithm="ctmdp.reachability",
         )
@@ -279,40 +367,45 @@ class PreparedTimedReachability:
 
 def _sweep(
     *,
-    prob,
-    prob_to_goal: np.ndarray,
-    segments: SegmentIndex,
+    active: _ActiveSet,
     num_states: int,
     num_transitions: int,
-    goal_idx: np.ndarray,
+    goal: np.ndarray,
     rate: float,
     t: float,
     epsilon: float,
     objective: str,
     record_scheduler: bool,
+    precompute: bool,
     span_name: str,
     algorithm: str,
-    blocked: np.ndarray | None = None,
 ) -> ReachabilityResult:
-    """Algorithm 1's backward sweep over every state.
+    """Algorithm 1's backward sweep over the active states.
 
-    Shared by timed reachability (``blocked=None``) and timed until,
-    whose ``blocked`` states (neither safe nor goal) are pinned to zero
-    after every step: a path entering one has violated the formula.
+    Shared by timed reachability and timed until.  Every goal state
+    starts at 0 and follows ``g <- psi_i + g``, so one scalar carries
+    all of them; every other state outside ``active`` (no transition,
+    blocked, or clamped zero) is 0 at every step.  Recorded decisions
+    take the argbest at the multi-choice active states and
+    ``active.template`` everywhere else.
     """
     fg = fox_glynn(rate * t, epsilon)
     psi = fg.probabilities()
     k = fg.right
-    nonempty = segments.nonempty
+    num_active = len(active.states)
+    num_multi = active.num_multi
+    multi_rows = int(active.row_ptr[num_multi])
+    multi_states = active.states[:num_multi]
+    matrix = active.matrix
+    prob_to_goal = active.prob_to_goal
 
     writer: PolicyWriter | None = None
-    decision_row: np.ndarray | None = None
+    decision_row = active.template.copy()
     if record_scheduler:
         # The sweep runs backwards (row k-1 is produced first), so the
         # writer stores rows in arrival order and flags the orientation
         # instead of buffering the whole table.
         writer = PolicyWriter(num_states=num_states, reverse_rows=True)
-        decision_row = np.full(num_states, -1, dtype=np.int32)
 
     with sweep_span(
         span_name,
@@ -320,39 +413,38 @@ def _sweep(
         objective=objective,
         states=num_states,
         transitions=num_transitions,
+        active=num_active,
+        precompute=precompute,
         iterations=k,
         lam=rate * t,
     ) as steps:
         record_steps = steps.enabled
-        q = np.zeros(num_states)
+        q = np.zeros(matrix.shape[1])  # [active states | goal block]
+        transition_values = np.empty(matrix.shape[0])
+        g = 0.0
         for i in range(k, 0, -1):
             step_started = perf_counter() if record_steps else 0.0
             psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-            transition_values = psi_i * prob_to_goal + prob @ q
-            best = segment_reduce(transition_values, segments, objective)
-            new_q = np.zeros(num_states)
-            new_q[nonempty] = best
-            new_q[goal_idx] = psi_i + q[goal_idx]
-            if blocked is not None:
-                new_q[blocked] = 0.0
+            np.multiply(prob_to_goal, psi_i, out=transition_values)
+            transition_values += matrix @ q
+            best = segment_reduce(transition_values[:multi_rows], active.multi, objective)
+            q[:num_multi] = best
+            q[num_multi:num_active] = transition_values[multi_rows:]
+            g = psi_i + g
+            q[num_active:].fill(g)
             if writer is not None:
                 # First transition attaining the optimum within each
                 # segment, with the tie tolerance on the side that
                 # matches the objective (cf. segment_argbest).
-                decision_row[nonempty] = segment_argbest(
-                    transition_values, best, segments, objective
-                ).astype(np.int32)
+                decision_row[multi_states] = segment_argbest(
+                    transition_values[:multi_rows], best, active.multi, objective
+                )
                 writer.append(decision_row)
-            q = new_q
             if record_steps:
                 steps.record(perf_counter() - step_started)
 
-    values = q.copy()
-    values[goal_idx] = 1.0
-    if blocked is not None:
-        values[blocked] = 0.0
-    residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
-    np.clip(values, 0.0, 1.0, out=values)
+    values, residual = active.values(q, goal)
+    states_eliminated = num_states - num_active if precompute else 0
 
     return ReachabilityResult(
         values=values,
@@ -363,150 +455,14 @@ def _sweep(
         poisson=fg,
         decisions=writer.finish() if writer is not None else None,
         certificate=certificate_from_foxglynn(
-            fg, epsilon, algorithm, sweep_residual=residual
-        ),
-    )
-
-
-def _clamped_sweep(
-    *,
-    prob,
-    prob_to_goal: np.ndarray,
-    choice_ptr: np.ndarray,
-    num_states: int,
-    mask: np.ndarray,
-    zero: np.ndarray,
-    witness: np.ndarray | None,
-    rate: float,
-    t: float,
-    epsilon: float,
-    objective: str,
-    record_scheduler: bool,
-    span_name: str,
-    algorithm: str,
-) -> ReachabilityResult:
-    """Backward sweep restricted to the qualitatively undecided states.
-
-    Shared by timed reachability and timed until under
-    ``precompute=True``.  Three state classes leave the numeric sweep:
-
-    * ``zero`` states (the Prob0 set of the requested objective,
-      including blocked until-states) are clamped to 0 -- sound for the
-      *timed* objective because membership means the timed probability
-      is exactly 0 for every horizon;
-    * goal states follow the scalar recursion ``g_i = psi_i + g_{i+1}``
-      shared by all of them, so their matrix rows and columns fold into
-      ``(psi_i + g_{i+1}) * prob_to_goal``;
-    * only the remaining *active* states are iterated, over the reduced
-      ``active-rows x active-states`` sub-matrix.
-
-    Recorded schedulers stay replayable: clamped min-states carry their
-    zero-witness choice (a transition whose support stays inside the
-    zero region), so the induced-chain validation reproduces the zero.
-    """
-    fg = fox_glynn(rate * t, epsilon)
-    psi = fg.probabilities()
-    k = fg.right
-
-    active = ~mask & ~zero
-    active_idx = np.flatnonzero(active)
-    goal_idx = np.flatnonzero(mask)
-    states_eliminated = num_states - len(active_idx)
-
-    # Decision template for the eliminated states: min-zero states get
-    # their witness transition, everything else the -1 "no choice"
-    # marker (any choice of a max-zero state yields 0, goal states are
-    # pinned by every replay).
-    template = np.full(num_states, -1, dtype=np.int32)
-    if witness is not None:
-        chosen = witness >= 0
-        template[chosen] = witness[chosen].astype(np.int32)
-
-    writer: PolicyWriter | None = None
-    if record_scheduler:
-        writer = PolicyWriter(num_states=num_states, reverse_rows=True)
-
-    def _finish(
-        q_active: np.ndarray, g_total: float
-    ) -> ReachabilityResult:
-        values = np.zeros(num_states)
-        values[active_idx] = q_active
-        values[goal_idx] = 1.0
-        residual = max(
-            0.0,
-            float(values.max()) - 1.0,
-            -float(values.min()),
-            g_total - 1.0,
-        )
-        np.clip(values, 0.0, 1.0, out=values)
-        return ReachabilityResult(
-            values=values,
-            iterations=k,
-            uniform_rate=rate,
-            time_bound=t,
-            objective=objective,
-            poisson=fg,
-            decisions=writer.finish() if writer is not None else None,
-            certificate=certificate_from_foxglynn(
-                fg,
-                epsilon,
-                algorithm,
-                sweep_residual=residual,
-                states_eliminated=states_eliminated,
-            ),
+            fg,
+            epsilon,
+            algorithm,
+            sweep_residual=residual,
             states_eliminated=states_eliminated,
-        )
-
-    if len(active_idx) == 0:
-        # Every state is decided; only the constant decisions remain.
-        if writer is not None:
-            for _ in range(k):
-                writer.append(template)
-        return _finish(np.empty(0), float(np.sum(psi)))
-
-    counts_all = np.diff(choice_ptr)
-    row_sources = np.repeat(np.arange(num_states), counts_all)
-    active_rows = np.flatnonzero(active[row_sources])
-    segments = SegmentIndex.from_choice_ptr(
-        np.concatenate(([0], np.cumsum(counts_all[active_idx])))
+        ),
+        states_eliminated=states_eliminated,
     )
-    sub = prob[active_rows]
-    prob_aa = sub[:, active_idx].tocsr()
-    prob_to_goal_active = prob_to_goal[active_rows]
-    record_states = active_idx[segments.nonempty]
-
-    with sweep_span(
-        span_name,
-        t=t,
-        objective=objective,
-        states=num_states,
-        active=len(active_idx),
-        iterations=k,
-        lam=rate * t,
-        precompute=True,
-    ) as steps:
-        record_steps = steps.enabled
-        q = np.zeros(len(active_idx))
-        g = 0.0  # the shared goal-state value g_{i+1}
-        for i in range(k, 0, -1):
-            step_started = perf_counter() if record_steps else 0.0
-            psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-            transition_values = (psi_i + g) * prob_to_goal_active + prob_aa @ q
-            best = segment_reduce(transition_values, segments, objective)
-            new_q = np.zeros(len(active_idx))
-            new_q[segments.nonempty] = best
-            if writer is not None:
-                decision_row = template.copy()
-                decision_row[record_states] = segment_argbest(
-                    transition_values, best, segments, objective
-                ).astype(np.int32)
-                writer.append(decision_row)
-            q = new_q
-            g = psi_i + g
-            if record_steps:
-                steps.record(perf_counter() - step_started)
-
-    return _finish(q, g)
 
 
 def timed_reachability(
@@ -541,10 +497,9 @@ def timed_reachability(
         streamed into a :class:`~repro.policy.store.CompressedDecisions`
         store during the sweep.
     precompute:
-        If true, clamp the qualitative zero set and fold the goal states
-        into a scalar recursion before iterating; the sweep then covers
-        only the undecided states.  Values agree with the unclamped
-        sweep within the certified error bound (not bitwise), and the
+        If true, first compute the objective's qualitative zero set and
+        leave it out of the sweep as well.  Values are bitwise identical
+        to the plain sweep's (those states are exactly 0 there too); the
         result reports ``states_eliminated``.
 
     Returns
@@ -647,35 +602,38 @@ def replay_step_scheduler(
     if len(decisions) == 0:
         raise ModelError("decisions must record at least one step")
 
+    # Goal and blocked states are pinned whatever the decisions say, so
+    # only the active rows are computed; each active state then takes
+    # the value of its chosen row.
+    if blocked is None:
+        active = prepared._active_set("max")
+    else:
+        active = _ActiveSet.build(
+            prepared.prob, prepared.prob_to_goal, ctmdp.choice_ptr, prepared.mask, blocked
+        )
+    num_active = len(active.states)
+    starts = active.row_ptr[:-1]
+    last_choice = np.diff(active.row_ptr) - 1
+    matrix = active.matrix
+    prob_to_goal = active.prob_to_goal
+
     fg = fox_glynn(prepared.rate * t, epsilon)
     psi = fg.probabilities()
-    segments = prepared.segments
-    nonempty_states = np.flatnonzero(segments.nonempty)
-    goal_idx = prepared.goal_idx
-    prob = prepared.prob
-    prob_to_goal = prepared.prob_to_goal
-
-    q = np.zeros(ctmdp.num_states)
+    q = np.zeros(matrix.shape[1])  # [active states | goal block]
+    transition_values = np.empty(matrix.shape[0])
+    g = 0.0
     rows_iter = iter(_replay_rows(decisions, fg.right))
     for i in range(fg.right, 0, -1):
         psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-        transition_values = psi_i * prob_to_goal + prob @ q
+        np.multiply(prob_to_goal, psi_i, out=transition_values)
+        transition_values += matrix @ q
         decision_row = next(rows_iter)
-        choice = np.clip(decision_row[nonempty_states], 0, segments.counts - 1)
-        rows = segments.starts + choice
-        new_q = np.zeros(ctmdp.num_states)
-        new_q[segments.nonempty] = transition_values[rows]
-        new_q[goal_idx] = psi_i + q[goal_idx]
-        if blocked is not None:
-            new_q[blocked] = 0.0
-        q = new_q
+        choice = np.clip(decision_row[active.states], 0, last_choice)
+        q[:num_active] = transition_values[starts + choice]
+        g = psi_i + g
+        q[num_active:].fill(g)
 
-    values = q.copy()
-    values[goal_idx] = 1.0
-    if blocked is not None:
-        values[blocked] = 0.0
-    residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
-    np.clip(values, 0.0, 1.0, out=values)
+    values, residual = active.values(q, prepared.mask)
     return ReachabilityResult(
         values=values,
         iterations=fg.right,

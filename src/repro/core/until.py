@@ -24,8 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.reachability import ReachabilityResult, _clamped_sweep, _sweep
-from repro.core.segments import SegmentIndex, validate_objective
+from repro.core.reachability import ReachabilityResult, _ActiveSet, _sweep, _zero_set
+from repro.core.segments import validate_objective
 from repro.errors import ModelError, NonUniformError
 from repro.numerics.foxglynn import fox_glynn
 from repro.obs import NumericalCertificate
@@ -64,12 +64,12 @@ def timed_until(
     record_scheduler:
         If true, record the optimising transition per state and step
         (the same shape Algorithm 1's reachability extraction produces;
-        decisions at blocked states are recorded but irrelevant -- their
-        value is pinned to zero whatever is chosen).
+        blocked states are not swept and record the first transition --
+        their value is pinned to zero whatever is chosen).
     precompute:
-        If true, clamp the qualitative zero set of the until objective
-        (blocked states included) and fold the goal states into a
-        scalar recursion before iterating; see
+        If true, also leave the qualitative zero set of the until
+        objective (blocked states included) out of the sweep; values
+        stay bitwise identical, see
         :func:`repro.core.reachability.timed_reachability`.
 
     Returns
@@ -109,50 +109,25 @@ def timed_until(
     prob = ctmdp.probability_matrix()
     prob_to_goal = prob @ goal_mask.astype(np.float64)
 
+    inactive = blocked
+    witness: np.ndarray | None = None
     if precompute:
-        from repro.graph.qualitative import prob0_exists, prob0_forall
-        from repro.graph.structure import TransitionGraph
-
-        graph = TransitionGraph.from_ctmdp(ctmdp)
-        witness: np.ndarray | None = None
-        if objective == "max":
-            zero = prob0_forall(graph, goal_mask, safe=safe_mask)
-        else:
-            zero, witness = prob0_exists(
-                graph, goal_mask, safe=safe_mask, with_witness=True
-            )
-        # Blocked states are in either zero set by construction, so the
-        # clamped sweep needs no separate blocked pinning.
-        return _clamped_sweep(
-            prob=prob,
-            prob_to_goal=prob_to_goal,
-            choice_ptr=np.asarray(ctmdp.choice_ptr),
-            num_states=ctmdp.num_states,
-            mask=goal_mask,
-            zero=zero,
-            witness=witness,
-            rate=rate,
-            t=t,
-            epsilon=epsilon,
-            objective=objective,
-            record_scheduler=record_scheduler,
-            span_name="until.sweep",
-            algorithm="ctmdp.until",
-        )
+        # Blocked states are in either zero set by construction.
+        inactive, witness = _zero_set(ctmdp, goal_mask, objective, safe=safe_mask)
 
     return _sweep(
-        prob=prob,
-        prob_to_goal=prob_to_goal,
-        segments=SegmentIndex.from_choice_ptr(ctmdp.choice_ptr),
+        active=_ActiveSet.build(
+            prob, prob_to_goal, ctmdp.choice_ptr, goal_mask, inactive, witness
+        ),
         num_states=ctmdp.num_states,
         num_transitions=ctmdp.num_transitions,
-        goal_idx=np.flatnonzero(goal_mask),
+        goal=goal_mask,
         rate=rate,
         t=t,
         epsilon=epsilon,
         objective=objective,
         record_scheduler=record_scheduler,
+        precompute=precompute,
         span_name="until.sweep",
         algorithm="ctmdp.until",
-        blocked=blocked,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg
 
 from repro.ctmc.model import CTMC
 from repro.ctmc.uniformization import uniformize
@@ -172,24 +172,33 @@ class PhaseType:
     # ------------------------------------------------------------------
     # Distribution-theoretic interface
     # ------------------------------------------------------------------
+    def _phases_at(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(alpha exp(T x), t)``: the probability of each transient phase
+        at time ``x``, and the absorption-rate vector.
+
+        Computed with ``expm_multiply``: ``scipy.linalg.expm`` loses most
+        digits of ``exp(T x)`` when two phases' exit rates differ in the
+        last bit, as in a Coxian with equal stage rates (the first exit
+        rate is the sum of its two branches).
+        """
+        t_matrix, t_vec, transient = self._subgenerator()
+        alpha = np.zeros(len(transient))
+        alpha[transient.index(self.initial)] = 1.0
+        return scipy.sparse.linalg.expm_multiply(t_matrix.T * x, alpha), t_vec
+
     def cdf(self, x: float) -> float:
         """``Pr(X <= x)``, via the matrix exponential of the sub-generator."""
         if x < 0.0:
             return 0.0
-        t_matrix, _t_vec, transient = self._subgenerator()
-        alpha = np.zeros(len(transient))
-        alpha[transient.index(self.initial)] = 1.0
-        survival = alpha @ scipy.linalg.expm(t_matrix * x) @ np.ones(len(transient))
-        return float(1.0 - survival)
+        phases, _t_vec = self._phases_at(x)
+        return float(1.0 - phases.sum())
 
     def pdf(self, x: float) -> float:
         """Density at ``x >= 0``."""
         if x < 0.0:
             return 0.0
-        t_matrix, t_vec, transient = self._subgenerator()
-        alpha = np.zeros(len(transient))
-        alpha[transient.index(self.initial)] = 1.0
-        return float(alpha @ scipy.linalg.expm(t_matrix * x) @ t_vec)
+        phases, t_vec = self._phases_at(x)
+        return float(phases @ t_vec)
 
     def moment(self, order: int) -> float:
         """Raw moment ``E[X^order]`` via ``(-1)^k k! alpha T^{-k} 1``."""

@@ -224,8 +224,9 @@ def _solve_group(
 
     ``precompute`` enables qualitative precomputation in the CTMDP
     solver (see :class:`PreparedTimedReachability`); CTMC groups ignore
-    it.  Off by default so batched answers stay bitwise-identical to
-    independent solver calls.
+    it.  The answers are the same bits either way; it is off by default
+    because each group prepares a new solver, so the Prob0 pass would be
+    paid on every request, also where it finds nothing (the FTWC).
     """
     metrics = registry.metrics
     try:
@@ -389,8 +390,9 @@ def run_batch(
         :class:`repro.policy.PolicyArtifact` under ``result.policy``.
     precompute:
         Run qualitative graph precomputation (Prob0 clamping) inside
-        the CTMDP solver.  Off by default: clamped sweeps agree with
-        the plain sweep only up to the solver epsilon, not bitwise.
+        the CTMDP solver.  The values are identical either way; off by
+        default because the Prob0 pass costs more than it saves where
+        the Prob0 set is empty.
     """
     batch = list(queries)
     registry = registry if registry is not None else ModelRegistry()

@@ -199,8 +199,8 @@ def check(
     precompute:
         Clamp qualitatively-decided states (the Prob0 set of the
         objective; for unbounded reachability also the Prob1 set)
-        before iterating in the CTMDP probability engines.  Values
-        agree with the plain sweep within the solver epsilon.
+        before iterating in the CTMDP probability engines.  Timed
+        values are identical; unbounded values agree within epsilon.
     """
     if isinstance(query, str):
         query = parse_query(query)

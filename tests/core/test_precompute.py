@@ -1,12 +1,11 @@
 """Qualitative precomputation in the numeric solvers.
 
-With ``precompute=True`` the timed engines clamp the Prob0 set of the
-requested objective and fold the goal states into a scalar recursion;
-the unbounded engine additionally pins the Prob1 set.  The clamped
-sweep is *not* bitwise-identical to the plain one (different summation
-order over the reduced sub-matrix), so all comparisons here are within
-the solver epsilon -- the engine layer keeps ``precompute`` off by
-default exactly because its batching tests assert bitwise equality.
+With ``precompute=True`` the timed engines also leave the Prob0 set of
+the requested objective out of the sweep; the unbounded engine
+additionally pins the Prob1 set.  Prob0 states are exactly 0 at every
+step of the plain sweep too, so timed answers are bitwise identical to
+the plain ones.  Unbounded value iteration stops on a tolerance, so its
+comparison stays within epsilon.
 """
 
 import numpy as np
@@ -37,7 +36,7 @@ class TestTimedAgreement:
                 ctmdp, goal, t, epsilon=1e-10, objective=objective,
                 precompute=True,
             )
-            np.testing.assert_allclose(clamped.values, plain.values, atol=1e-9)
+            np.testing.assert_array_equal(clamped.values, plain.values)
             # At least the goal states leave the sweep.
             assert clamped.states_eliminated >= int(goal.sum())
             assert clamped.certificate.states_eliminated == clamped.states_eliminated
@@ -57,7 +56,7 @@ class TestTimedAgreement:
                 ctmdp, safe, goal, t, epsilon=1e-10, objective=objective,
                 precompute=True,
             )
-            np.testing.assert_allclose(clamped.values, plain.values, atol=1e-9)
+            np.testing.assert_array_equal(clamped.values, plain.values)
             assert clamped.states_eliminated >= int(goal.sum())
 
 
@@ -122,14 +121,14 @@ class TestFTWCAnchors:
     def test_timed_value_and_elimination(self):
         """FTWC N=2, t=100: the 211 goal states fold into the scalar
         recursion (the Prob0 sets are empty) and the worst-case value
-        matches the plain sweep to solver precision."""
+        equals the plain sweep's."""
         model = ftwc_direct.build_ctmdp(2)
         plain = timed_reachability(model.ctmdp, model.goal_mask, 100.0, epsilon=1e-6)
         clamped = timed_reachability(
             model.ctmdp, model.goal_mask, 100.0, epsilon=1e-6, precompute=True
         )
         assert clamped.states_eliminated == 211
-        assert abs(clamped.value(model.ctmdp.initial) - plain.value(model.ctmdp.initial)) < 1e-9
+        np.testing.assert_array_equal(clamped.values, plain.values)
         assert clamped.certificate.healthy
 
     def test_unbounded_precompute_beats_the_convergence_tail(self):

@@ -83,6 +83,18 @@ class TestCoxian:
         ph = PhaseType.coxian([2.0, 1.0], [0.5, 1.0])
         assert ph.mean() == pytest.approx(0.5 + 0.5 * 1.0)
 
+    def test_equal_stage_rates(self):
+        """The first stage's exit rate is summed from two branches and
+        lands one ulp above the second's; the cdf and pdf must still
+        match the closed form of the Exp / Erlang-2 mixture."""
+        rate, done, x = 1.78125, 0.1, 2.0
+        ph = PhaseType.coxian([rate, rate], [done, 1.0])
+        decay = math.exp(-rate * x)
+        survival = decay * (1.0 + (1.0 - done) * rate * x)
+        density = decay * rate * (done + (1.0 - done) * rate * x)
+        assert ph.cdf(x) == pytest.approx(1.0 - survival, abs=1e-12)
+        assert ph.pdf(x) == pytest.approx(density, abs=1e-12)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ModelError):
             PhaseType.coxian([1.0, 2.0], [1.0])
