@@ -18,7 +18,6 @@ Typical usage::
     print(result.value(model.ctmdp.initial))
 """
 
-from repro import analysis, bisim, core, ctmc, engine, imc, io, logic, mdp, models, numerics, sim
 from repro.errors import (
     CompositionError,
     ModelError,
@@ -31,6 +30,9 @@ from repro.errors import (
 
 __version__ = "1.0.0"
 
+# The subpackages are imported when named (``from repro import core``),
+# not here: every CLI process imports this package, and most commands
+# need only a few of them.
 __all__ = [
     "analysis",
     "bisim",

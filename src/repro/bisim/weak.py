@@ -28,7 +28,6 @@ from typing import Hashable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from repro.bisim.branching import _rate_signature
 from repro.bisim.partition import Partition, refine_to_fixpoint
@@ -52,6 +51,8 @@ def _tau_closures(imc: IMC) -> list[list[int]]:
             rows.append(src)
             cols.append(dst)
     if rows:
+        from scipy.sparse.csgraph import connected_components
+
         graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         num_comps, comp_of = connected_components(graph, directed=True, connection="strong")
     else:

@@ -45,7 +45,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from repro.bisim.partition import Partition
 from repro.bisim.signatures import quantize_rates
@@ -195,6 +194,8 @@ def _refine_round(
     proper = il_src != il_dst
     il_src, il_dst = il_src[proper], il_dst[proper]
     if len(il_src):
+        from scipy.sparse.csgraph import connected_components
+
         graph = sp.csr_matrix(
             (np.ones(len(il_src), dtype=np.int8), (il_src, il_dst)), shape=(d, d)
         )

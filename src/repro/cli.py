@@ -23,17 +23,6 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.analysis.experiments import (
-    compositional_row,
-    figure4_curves,
-    table1_row,
-)
-from repro.analysis.tables import (
-    render_compositional,
-    render_figure4,
-    render_table1,
-)
-
 __all__ = ["main", "build_parser", "package_version"]
 
 
@@ -394,6 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import table1_row
+    from repro.analysis.tables import render_table1
+
     rows = [
         table1_row(
             n,
@@ -408,6 +400,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import figure4_curves
+    from repro.analysis.tables import render_figure4
+
     if args.points < 2:
         print("need at least two time points", file=sys.stderr)
         return 2
@@ -421,6 +416,9 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
 
 
 def _cmd_compositional(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import compositional_row
+    from repro.analysis.tables import render_compositional
+
     rows = [compositional_row(n) for n in args.ns]
     print(render_compositional(rows))
     return 0

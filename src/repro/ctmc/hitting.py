@@ -19,7 +19,6 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from repro.ctmc.model import CTMC
 from repro.states import state_mask
@@ -97,6 +96,8 @@ def expected_hitting_time(
     for k in range(len(solve_states)):
         sub[k, k] = 0.0
     a = sp.diags(exits[solve_states] - diag_loops) - sp.csr_matrix(sub)
+    import scipy.sparse.linalg
+
     h = scipy.sparse.linalg.spsolve(sp.csr_matrix(a), np.ones(len(solve_states)))
     result[solve_states] = np.atleast_1d(h)
     return result

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg
 
 from repro.ctmc.model import CTMC
 from repro.ctmc.uniformization import uniformize
@@ -181,6 +180,8 @@ class PhaseType:
         last bit, as in a Coxian with equal stage rates (the first exit
         rate is the sum of its two branches).
         """
+        import scipy.sparse.linalg
+
         t_matrix, t_vec, transient = self._subgenerator()
         alpha = np.zeros(len(transient))
         alpha[transient.index(self.initial)] = 1.0

@@ -22,7 +22,6 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from repro.ctmc.hitting import _can_reach
 from repro.ctmc.model import CTMC
@@ -104,6 +103,8 @@ def accumulated_reward_until(
     for k in range(len(solve_states)):
         sub[k, k] = 0.0
     a = sp.diags(exits[solve_states] - diag_loops) - sp.csr_matrix(sub)
+    import scipy.sparse.linalg
+
     v = scipy.sparse.linalg.spsolve(sp.csr_matrix(a), arr[solve_states])
     result[solve_states] = np.atleast_1d(v)
     return result

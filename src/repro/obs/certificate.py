@@ -45,6 +45,8 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
+from repro.obs.tracer import span
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.numerics.foxglynn import FoxGlynn
     from repro.obs.metrics import MetricStore
@@ -67,18 +69,20 @@ _FP_PER_STEP = 16.0 * float(np.finfo(np.float64).eps)
 def poisson_tail_mass(lam: float, left: int, right: int) -> float:
     """Exact Poisson mass outside the window ``[left, right]``.
 
-    Evaluated through the regularised incomplete gamma functions (via
-    scipy), so it resolves tails far below the ``1 - cdf`` cancellation
-    floor of ~1e-16.  This is the *actual* dropped mass, which the
-    nearly-sharp small-``lam`` finder keeps well under the a-priori
-    admissible ``epsilon``.
+    Evaluated through the regularised incomplete gamma functions
+    (``scipy.special.pdtr``/``pdtrc``), so it resolves tails far below
+    the ``1 - cdf`` cancellation floor of ~1e-16.  scipy's Poisson
+    distribution object computes its ``cdf``/``sf`` with the same two
+    functions; a test checks that both give the same bits.  This is the
+    *actual* dropped mass, which the nearly-sharp small-``lam`` finder
+    keeps well under the a-priori admissible ``epsilon``.
     """
     if lam <= 0.0:
         return 0.0
-    from scipy.stats import poisson
+    from scipy.special import pdtr, pdtrc
 
-    below = float(poisson.cdf(left - 1, lam)) if left > 0 else 0.0
-    above = float(poisson.sf(right, lam))
+    below = float(pdtr(left - 1, lam)) if left > 0 else 0.0
+    above = float(pdtrc(right, lam))
     return max(0.0, below) + max(0.0, above)
 
 
@@ -245,14 +249,15 @@ def certificate_from_foxglynn(
     is the number of states the qualitative precomputation removed from
     the sweep.
     """
-    weights = np.asarray(fg.weights, dtype=np.float64)
-    overflow_count = int(np.count_nonzero(~np.isfinite(weights)))
-    underflow_count = int(np.count_nonzero(weights == 0.0))
-    dropped = poisson_tail_mass(fg.lam, fg.left, fg.right)
-    if fg.total_weight > 0.0 and math.isfinite(fg.total_weight):
-        deficit = abs(1.0 - float(weights.sum()) / fg.total_weight)
-    else:  # pragma: no cover - the weighter raises before this
-        deficit = math.inf
+    with span("solver.certificate", algorithm=algorithm):
+        weights = np.asarray(fg.weights, dtype=np.float64)
+        overflow_count = int(np.count_nonzero(~np.isfinite(weights)))
+        underflow_count = int(np.count_nonzero(weights == 0.0))
+        dropped = poisson_tail_mass(fg.lam, fg.left, fg.right)
+        if fg.total_weight > 0.0 and math.isfinite(fg.total_weight):
+            deficit = abs(1.0 - float(weights.sum()) / fg.total_weight)
+        else:  # pragma: no cover - the weighter raises before this
+            deficit = math.inf
     fp_slack = _FP_PER_STEP * (fg.right - fg.left + 1)
     error_bound = 2.0 * dropped + deficit + sweep_residual + fp_slack
     return NumericalCertificate(

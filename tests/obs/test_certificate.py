@@ -180,6 +180,34 @@ class TestCertificateMechanics:
         )
 
 
+def _stats_tail_mass(lam, left, right):
+    """The tail mass through ``scipy.stats.poisson``, the test-only oracle."""
+    from scipy.stats import poisson
+
+    below = float(poisson.cdf(left - 1, lam)) if left > 0 else 0.0
+    above = float(poisson.sf(right, lam))
+    return max(0.0, below) + max(0.0, above)
+
+
+class TestPoissonTailOracle:
+    """``poisson_tail_mass`` equals ``scipy.stats.poisson`` bit for bit."""
+
+    @pytest.mark.parametrize("epsilon", [1e-14, 1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 2.0, 10.0, 200.0, 5e3, 1e5])
+    def test_foxglynn_windows(self, lam, epsilon):
+        fg = fox_glynn(lam, epsilon)
+        assert poisson_tail_mass(lam, fg.left, fg.right) == _stats_tail_mass(
+            lam, fg.left, fg.right
+        )
+
+    @pytest.mark.parametrize(
+        ("lam", "left", "right"),
+        [(0.5, 0, 0), (0.5, 1, 10), (10.0, 1, 36), (200.0, 1, 298), (200.0, 0, 298)],
+    )
+    def test_windows_starting_at_zero_and_one(self, lam, left, right):
+        assert poisson_tail_mass(lam, left, right) == _stats_tail_mass(lam, left, right)
+
+
 class TestCertificatesInEngineAndLogic:
     def test_batch_results_carry_certificates(self):
         batch = run_batch(

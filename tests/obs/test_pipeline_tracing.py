@@ -60,6 +60,23 @@ class TestSolverTracing:
         names = {s.name for s in tracer.spans}
         assert {"registry.get", "registry.build", "solver.prepare", "solver.solve"} <= names
 
+    @pytest.mark.parametrize(
+        ("family", "algorithm"),
+        [("ftwc", "ctmdp.reachability"), ("ftwc-ctmc", "ctmc.reachability")],
+    )
+    def test_certificate_span_is_child_of_solve(self, family, algorithm):
+        """The certificate is a named stage of the solve, not self time."""
+        engine = QueryEngine()
+        from repro.engine.plan import Query
+
+        with tracing() as tracer:
+            batch = engine.run([Query(model={"family": family, "n": 1}, t=10.0)])
+        assert batch.results[0].ok
+        certificates = [s for s in tracer.spans if s.name == "solver.certificate"]
+        assert len(certificates) == 1
+        assert certificates[0].attributes == {"algorithm": algorithm}
+        assert tracer.spans[certificates[0].parent].name == "solver.solve"
+
     def test_until_sweep_records_step_histogram(self):
         """The until sweep shares the reachability instrumentation."""
         from repro.core.until import timed_until
