@@ -24,7 +24,7 @@ from repro.analysis.stats import AlternatingStatistics, ctmdp_alternating_statis
 from repro.core.reachability import timed_reachability
 from repro.ctmc.reachability import timed_reachability_curve
 from repro.engine import Query, QueryEngine
-from repro.models import ftwc
+from repro.models import ftwc, ftwc_direct
 from repro.numerics.foxglynn import poisson_right_truncation
 
 __all__ = [
@@ -232,9 +232,11 @@ def run_figure4(
 
 @dataclass
 class CompositionalRow:
-    """Size statistics of the compositional route (Section 5 technicalities)."""
+    """Size statistics of the compositional route (Section 5 technicalities),
+    next to the direct generator's CTMDP for the same ``n``."""
 
     n: int
+    peak_states: int
     final_imc_states: int
     final_imc_interactive: int
     final_imc_markov: int
@@ -242,17 +244,22 @@ class CompositionalRow:
     ctmdp_transitions: int
     build_seconds: float
     probability_100h: float
+    direct_ctmdp_states: int
+    direct_probability_100h: float
 
 
 def compositional_row(n: int, epsilon: float = 1e-6) -> CompositionalRow:
-    """Build the FTWC compositionally and measure the resulting sizes."""
+    """Build the FTWC on both routes and measure the compositional sizes."""
     started = time.perf_counter()
     model = ftwc.build_compositional(n)
     build = time.perf_counter() - started
     result = timed_reachability(model.ctmdp, model.goal_mask, 100.0, epsilon=epsilon)
+    direct = ftwc_direct.build_ctmdp(n)
+    direct_result = timed_reachability(direct.ctmdp, direct.goal_mask, 100.0, epsilon=epsilon)
     system = model.system.imc
     return CompositionalRow(
         n=n,
+        peak_states=model.system.peak_states,
         final_imc_states=system.num_states,
         final_imc_interactive=system.num_interactive_transitions,
         final_imc_markov=system.num_markov_transitions,
@@ -260,4 +267,6 @@ def compositional_row(n: int, epsilon: float = 1e-6) -> CompositionalRow:
         ctmdp_transitions=model.ctmdp.num_transitions,
         build_seconds=build,
         probability_100h=result.value(model.ctmdp.initial),
+        direct_ctmdp_states=direct.ctmdp.num_states,
+        direct_probability_100h=direct_result.value(direct.ctmdp.initial),
     )

@@ -114,27 +114,33 @@ def render_figure4(curves: Figure4Curves) -> str:
 
 
 def render_compositional(rows: list[CompositionalRow]) -> str:
-    """Render the compositional-route statistics."""
+    """Render the compositional-route statistics beside the direct route."""
     header = [
         "N",
+        "Peak product",
         "IMC states",
         "IMC inter.tr",
         "IMC markov.tr",
         "CTMDP states",
         "CTMDP trans",
+        "Direct states",
         "Build(s)",
         "p(100h)",
+        "p(100h) direct",
     ]
     grid = [
         [
             str(row.n),
+            str(row.peak_states),
             str(row.final_imc_states),
             str(row.final_imc_interactive),
             str(row.final_imc_markov),
             str(row.ctmdp_states),
             str(row.ctmdp_transitions),
+            str(row.direct_ctmdp_states),
             f"{row.build_seconds:.2f}",
-            f"{row.probability_100h:.6e}",
+            f"{row.probability_100h:.12e}",
+            f"{row.direct_probability_100h:.12e}",
         ]
         for row in rows
     ]

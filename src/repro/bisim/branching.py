@@ -96,7 +96,8 @@ def branching_minimize(
     """
     with span("bisim.minimize", states=imc.num_states) as sp:
         partition = branching_bisimulation(imc, labels, metrics=metrics)
-        quotient = quotient_imc(imc, partition, drop_inert_tau=True)
+        with span("bisim.quotient", blocks=partition.num_blocks):
+            quotient = quotient_imc(imc, partition, drop_inert_tau=True)
         if metrics is not None:
             metrics.count("bisim_minimize_calls")
             metrics.count(

@@ -30,10 +30,11 @@ sequences) but makes each round incremental and vectorised:
   quantisation of :mod:`repro.bisim.signatures` and are bitwise
   identical to the naive refinement's ``fsum``-based sums.
 
-Every round is wrapped in a ``bisim.refine.round`` span and the whole
-refinement in a ``bisim.refine`` span (attributes: round number, dirty
-state count, block count, splits), so ``repro profile`` attributes the
-cost -- and the win -- per round.  The naive refinement survives as a
+The one-time encoding is a ``bisim.encode`` span, every round is
+wrapped in a ``bisim.refine.round`` span and the whole refinement in a
+``bisim.refine`` span (attributes: round number, dirty state count,
+block count, splits), so ``repro profile`` attributes the cost -- and
+the win -- per round.  The naive refinement survives as a
 test oracle (``tests/oracles/bisim.py``); the property-based test suite
 cross-checks that it and this engine compute equal partitions on random
 IMCs.
@@ -314,7 +315,8 @@ def worklist_refine(
     ``metrics``, when given, receives ``bisim_rounds``, ``bisim_splits``
     and ``bisim_states_rescanned`` counters.
     """
-    enc = _Encoded(imc)
+    with span("bisim.encode", states=imc.num_states):
+        enc = _Encoded(imc)
     partition = initial.canonical()
     block_of = partition.block_of.astype(np.int64).copy()
     num_blocks = partition.num_blocks

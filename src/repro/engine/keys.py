@@ -122,7 +122,13 @@ def normalize_spec(spec: Mapping[str, Any]) -> dict[str, Any]:
     if family == "ftwc-ctmc":
         normalized["gamma"] = _finite_positive_float(spec.get("gamma", 10.0), "gamma")
     if family == "ftwc-compositional":
-        normalized["minimize_intermediate"] = bool(spec.get("minimize_intermediate", True))
+        minimize = spec.get("minimize_intermediate", True)
+        if not isinstance(minimize, bool):
+            raise ModelError(
+                f"model spec field 'minimize_intermediate' must be true or false, "
+                f"got {minimize!r}"
+            )
+        normalized["minimize_intermediate"] = minimize
 
     return normalized
 

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.errors import CompositionError
 from repro.imc.model import IMC, TAU
+from repro.obs import span
 
 __all__ = ["hide", "hide_all_but", "relabel", "parallel", "parallel_many", "parallel_with_map", "interleave"]
 
@@ -34,16 +35,17 @@ def hide(imc: IMC, actions: Iterable[str]) -> IMC:
     hidden = set(actions)
     if TAU in hidden:
         raise CompositionError("tau cannot be hidden; it is already internal")
-    return IMC(
-        num_states=imc.num_states,
-        interactive=[
-            (src, TAU if action in hidden else action, dst)
-            for src, action, dst in imc.interactive
-        ],
-        markov=list(imc.markov),
-        initial=imc.initial,
-        state_names=list(imc.state_names) if imc.state_names else None,
-    )
+    with span("imc.hide", states=imc.num_states):
+        return IMC(
+            num_states=imc.num_states,
+            interactive=[
+                (src, TAU if action in hidden else action, dst)
+                for src, action, dst in imc.interactive
+            ],
+            markov=list(imc.markov),
+            initial=imc.initial,
+            state_names=list(imc.state_names) if imc.state_names else None,
+        )
 
 
 def hide_all_but(imc: IMC, keep: Iterable[str] = ()) -> IMC:
@@ -109,73 +111,76 @@ def parallel_with_map(
     if TAU in sync_set:
         raise CompositionError("tau cannot synchronise")
 
-    index: dict[tuple[int, int], int] = {}
-    names: list[str] = []
-    pairs: list[tuple[int, int]] = []
+    with span("imc.parallel", left=left.num_states, right=right.num_states) as sp:
+        index: dict[tuple[int, int], int] = {}
+        names: list[str] = []
+        pairs: list[tuple[int, int]] = []
 
-    def state_id(pair: tuple[int, int]) -> int:
-        if pair not in index:
-            index[pair] = len(index)
-            pairs.append(pair)
-            names.append(f"{left.name_of(pair[0])}|{right.name_of(pair[1])}")
-        return index[pair]
+        def state_id(pair: tuple[int, int]) -> int:
+            if pair not in index:
+                index[pair] = len(index)
+                pairs.append(pair)
+                names.append(f"{left.name_of(pair[0])}|{right.name_of(pair[1])}")
+            return index[pair]
 
-    start = (left.initial, right.initial)
-    state_id(start)
-    queue: deque[tuple[int, int]] = deque([start])
-    explored: set[tuple[int, int]] = {start}
+        start = (left.initial, right.initial)
+        state_id(start)
+        queue: deque[tuple[int, int]] = deque([start])
+        explored: set[tuple[int, int]] = {start}
 
-    interactive: list[tuple[int, str, int]] = []
-    markov: list[tuple[int, float, int]] = []
+        interactive: list[tuple[int, str, int]] = []
+        markov: list[tuple[int, float, int]] = []
 
-    while queue:
-        pair = queue.popleft()
-        s, v = pair
-        src = state_id(pair)
-        successors: list[tuple[int, int]] = []
+        while queue:
+            pair = queue.popleft()
+            s, v = pair
+            src = state_id(pair)
+            successors: list[tuple[int, int]] = []
 
-        # Interactive moves of the left component.
-        for action, s2 in left.interactive_successors(s):
-            if action in sync_set:
-                for other_action, v2 in right.interactive_successors(v):
-                    if other_action == action:
-                        target = (s2, v2)
-                        interactive.append((src, action, state_id(target)))
-                        successors.append(target)
-            else:
+            # Interactive moves of the left component.
+            for action, s2 in left.interactive_successors(s):
+                if action in sync_set:
+                    for other_action, v2 in right.interactive_successors(v):
+                        if other_action == action:
+                            target = (s2, v2)
+                            interactive.append((src, action, state_id(target)))
+                            successors.append(target)
+                else:
+                    target = (s2, v)
+                    interactive.append((src, action, state_id(target)))
+                    successors.append(target)
+
+            # Independent interactive moves of the right component.
+            for action, v2 in right.interactive_successors(v):
+                if action not in sync_set:
+                    target = (s, v2)
+                    interactive.append((src, action, state_id(target)))
+                    successors.append(target)
+
+            # Markov transitions interleave on both sides.
+            for rate, s2 in left.markov_successors(s):
                 target = (s2, v)
-                interactive.append((src, action, state_id(target)))
+                markov.append((src, rate, state_id(target)))
                 successors.append(target)
-
-        # Independent interactive moves of the right component.
-        for action, v2 in right.interactive_successors(v):
-            if action not in sync_set:
+            for rate, v2 in right.markov_successors(v):
                 target = (s, v2)
-                interactive.append((src, action, state_id(target)))
+                markov.append((src, rate, state_id(target)))
                 successors.append(target)
 
-        # Markov transitions interleave on both sides.
-        for rate, s2 in left.markov_successors(s):
-            target = (s2, v)
-            markov.append((src, rate, state_id(target)))
-            successors.append(target)
-        for rate, v2 in right.markov_successors(v):
-            target = (s, v2)
-            markov.append((src, rate, state_id(target)))
-            successors.append(target)
+            for target in successors:
+                if target not in explored:
+                    explored.add(target)
+                    queue.append(target)
 
-        for target in successors:
-            if target not in explored:
-                explored.add(target)
-                queue.append(target)
-
-    product = IMC(
-        num_states=len(index),
-        interactive=interactive,
-        markov=markov,
-        initial=0,
-        state_names=names,
-    )
+        product = IMC(
+            num_states=len(index),
+            interactive=interactive,
+            markov=markov,
+            initial=0,
+            state_names=names,
+        )
+        if sp is not None:
+            sp.annotate(states=product.num_states)
     return product, pairs
 
 

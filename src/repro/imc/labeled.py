@@ -16,6 +16,8 @@ state and lifts the composition operators:
   function (defaults to tuple-wise addition, the natural choice for
   counting observations);
 * :meth:`LabeledIMC.hide` / :meth:`LabeledIMC.relabel` keep them;
+* :meth:`LabeledIMC.restricted_to_reachable` carries them along the
+  surviving states;
 * :meth:`LabeledIMC.minimize` quotients by stochastic branching
   bisimulation seeded with the observations and projects them onto the
   quotient;
@@ -34,6 +36,7 @@ from repro.imc.composition import hide as _hide
 from repro.imc.composition import parallel_with_map
 from repro.imc.composition import relabel as _relabel
 from repro.imc.model import IMC
+from repro.obs import span
 
 __all__ = ["LabeledIMC", "add_tuples"]
 
@@ -104,6 +107,23 @@ class LabeledIMC:
         return LabeledIMC(
             imc=_relabel(self.imc, mapping), observations=list(self.observations)
         )
+
+    def restricted_to_reachable(self) -> "LabeledIMC":
+        """Drop the states unreachable under maximal progress (open view).
+
+        Observations follow their states; ``self`` is returned when every
+        state is reachable.
+        """
+        with span("imc.prune", states=self.imc.num_states) as sp:
+            order = self.imc.reachable_states()
+            if sp is not None:
+                sp.annotate(reachable=len(order))
+            if len(order) == self.imc.num_states:
+                return self
+            return LabeledIMC(
+                imc=self.imc.restricted_to_reachable(),
+                observations=[self.observations[s] for s in order],
+            )
 
     def minimize(self) -> "LabeledIMC":
         """Branching-bisimulation quotient respecting the observations."""

@@ -123,11 +123,17 @@ class TestCompositionalRow:
         row = compositional_row(1)
         assert row.n == 1
         assert row.ctmdp_states > 0
+        assert row.peak_states > row.final_imc_states
+        assert row.direct_ctmdp_states > 0
         assert 0.0 < row.probability_100h < 1.0
+        assert row.probability_100h == pytest.approx(
+            row.direct_probability_100h, rel=1e-12, abs=0.0
+        )
 
     def test_render(self):
         text = render_compositional([compositional_row(1)])
         assert "CTMDP states" in text
+        assert "Peak product" in text
 
 
 class TestFormatBytes:

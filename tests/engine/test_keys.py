@@ -29,6 +29,18 @@ class TestNormalization:
         spec = normalize_spec({"family": "ftwc-compositional", "n": 1})
         assert spec["minimize_intermediate"] is True
 
+    @pytest.mark.parametrize("value", ["false", 0, None, 1.5])
+    def test_compositional_minimize_must_be_a_boolean(self, value):
+        """A string, number or null must not silently pick a build mode."""
+        spec = {"family": "ftwc-compositional", "n": 1, "minimize_intermediate": value}
+        with pytest.raises(ModelError, match="minimize_intermediate"):
+            normalize_spec(spec)
+
+    def test_compositional_minimize_accepts_booleans(self):
+        for value in (True, False):
+            spec = {"family": "ftwc-compositional", "n": 1, "minimize_intermediate": value}
+            assert normalize_spec(spec)["minimize_intermediate"] is value
+
     def test_explicit_defaults_normalize_identically(self):
         implicit = normalize_spec({"family": "ftwc", "n": 2})
         explicit = normalize_spec(

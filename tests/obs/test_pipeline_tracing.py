@@ -77,6 +77,35 @@ class TestSolverTracing:
         assert certificates[0].attributes == {"algorithm": algorithm}
         assert tracer.spans[certificates[0].parent].name == "solver.solve"
 
+    def test_compositional_build_stages_are_named(self):
+        """Composition, hiding, pruning, encoding and the quotient are
+        spans of the build, not its self time."""
+        engine = QueryEngine()
+        from repro.engine.plan import Query
+
+        model = {"family": "ftwc-compositional", "n": 1}
+        with tracing() as tracer:
+            batch = engine.run([Query(model=model, t=10.0)])
+        assert batch.results[0].ok
+        spans = tracer.spans
+
+        def ancestors(span):
+            while span.parent is not None:
+                span = spans[span.parent]
+                yield span.name
+
+        stages = {"imc.parallel", "imc.hide", "imc.prune", "bisim.encode", "bisim.quotient"}
+        for name in stages:
+            named = [s for s in spans if s.name == name]
+            assert named, name
+            assert all("registry.build" in ancestors(s) for s in named), name
+        for name in ("bisim.encode", "bisim.quotient"):
+            parents = {spans[s.parent].name for s in spans if s.name == name}
+            assert parents == {"bisim.minimize"}, name
+        parallel = next(s for s in spans if s.name == "imc.parallel")
+        assert {"left", "right", "states"} <= set(parallel.attributes)
+        assert "states" in next(s for s in spans if s.name == "imc.hide").attributes
+
     def test_until_sweep_records_step_histogram(self):
         """The until sweep shares the reachability instrumentation."""
         from repro.core.until import timed_until

@@ -10,7 +10,10 @@
 * :func:`is_stochastic_branching_bisimulation` -- a literal check of
   Definition 6 on test-sized models.
 * :func:`record_minimisation_workload` -- every ``(imc, labels)`` pair
-  the compositional FTWC build hands to the refinement.
+  the interleave-all FTWC build of :mod:`tests.oracles.ftwc` hands to
+  the refinement.  That order is no longer what the production build
+  runs; it is kept as a stress input because its intermediate products
+  grow to 80,000 states at N=3 and its minimisations remove nothing.
 """
 
 from __future__ import annotations
@@ -161,8 +164,9 @@ def is_stochastic_branching_bisimulation(imc: IMC, partition: Partition) -> bool
 
 
 def record_minimisation_workload(n: int) -> list[tuple[IMC, list | None]]:
-    """The ``(imc, labels)`` pairs ``build_system_imc(n)`` minimises, in order."""
-    from repro.models.ftwc import build_system_imc
+    """The ``(imc, labels)`` pairs ``interleaved_system_imc(n)`` minimises,
+    in order."""
+    from tests.oracles.ftwc import interleaved_system_imc
 
     recorded = []
     original = branching.branching_bisimulation
@@ -173,7 +177,7 @@ def record_minimisation_workload(n: int) -> list[tuple[IMC, list | None]]:
 
     branching.branching_bisimulation = recording
     try:
-        build_system_imc(n, minimize_intermediate=True)
+        interleaved_system_imc(n)
     finally:
         branching.branching_bisimulation = original
     return recorded

@@ -199,12 +199,19 @@ class TestLintCommand:
         assert "A001" in capsys.readouterr().out
 
     def test_strict_promotes_warnings(self, capsys):
-        # The compositional pipeline carries an unreachable-states
+        # The unreachable-goal fixture carries an unreachable-states
         # warning (S001) but no errors: strict flips 0 to 1.
-        argv = ["lint", "--model", "ftwc-compositional", "-n", "1"]
+        argv = ["lint", str(self.FIXTURES / "defect_unreachable_goal.tra")]
         assert main(argv) == 0
         capsys.readouterr()
         assert main(argv + ["--strict"]) == 1
+
+    def test_compositional_pipeline_is_strictly_clean(self, capsys):
+        # The build prunes the states maximal progress makes unreachable,
+        # so not even the S001 warning remains.
+        argv = ["lint", "--model", "ftwc-compositional", "-n", "1", "--strict"]
+        assert main(argv) == 0
+        assert "clean" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "name, content",
