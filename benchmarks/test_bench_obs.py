@@ -41,7 +41,7 @@ def _reference_solve(prepared: PreparedTimedReachability, t: float) -> np.ndarra
     """The pre-instrumentation backward loop, byte-for-byte the same
     active-set arithmetic as ``PreparedTimedReachability.solve`` without
     any tracing hooks -- the baseline the overhead is measured against."""
-    active = prepared._active_set("max")
+    active = prepared._active
     fg = fox_glynn(prepared.rate * t, EPSILON)
     psi = fg.probabilities()
     num_active = len(active.states)

@@ -1,14 +1,12 @@
-"""Bisimulations: partition refinement, strong & branching variants, lumping."""
+"""Bisimulations: partition refinement, strong & branching variants."""
 
 from repro.bisim.branching import branching_bisimulation, branching_minimize
 from repro.bisim.compare import are_branching_bisimilar, are_strongly_bisimilar, disjoint_union
 from repro.bisim.ctmdp_bisim import ctmdp_bisimulation, ctmdp_equivalent, ctmdp_minimize
-from repro.bisim.lumping import lump, lumping_partition
 from repro.bisim.partition import Partition, refine_to_fixpoint
 from repro.bisim.quotient import map_labels_through, quotient_imc
 from repro.bisim.signatures import quantize_rate, rate_signature, stable_rate_sum
 from repro.bisim.strong import strong_bisimulation, strong_minimize
-from repro.bisim.weak import weak_bisimulation, weak_minimize
 from repro.bisim.worklist import worklist_refine
 
 __all__ = [
@@ -20,8 +18,6 @@ __all__ = [
     "ctmdp_bisimulation",
     "ctmdp_equivalent",
     "ctmdp_minimize",
-    "lump",
-    "lumping_partition",
     "Partition",
     "refine_to_fixpoint",
     "map_labels_through",
@@ -31,7 +27,5 @@ __all__ = [
     "stable_rate_sum",
     "strong_bisimulation",
     "strong_minimize",
-    "weak_bisimulation",
-    "weak_minimize",
     "worklist_refine",
 ]

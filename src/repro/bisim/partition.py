@@ -6,8 +6,8 @@ assigns every state a hashable value computed relative to the current
 partition; states of one block with different signatures are separated.
 The loop stops when no round splits anything -- the signature fixpoint.
 
-The concrete bisimulations (strong, stochastic branching, CTMC lumping)
-only differ in their signature functions.
+The concrete bisimulations (strong, stochastic branching) only differ
+in their signature functions.
 """
 
 from __future__ import annotations

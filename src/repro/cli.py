@@ -127,13 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ctmc", action="store_true",
         help="evaluate on the CTMC approximation of [13] instead",
     )
-    query.add_argument(
-        "--precompute",
-        action="store_true",
-        help="clamp qualitatively-decided (Prob0/Prob1) states before "
-        "iterating in the CTMDP engines; timed values are identical; "
-        "unbounded values agree within epsilon",
-    )
     from repro.policy.options import add_save_policy_option
 
     add_save_policy_option(query)
@@ -227,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--timeout", type=float, default=None, help="per-query wall-clock budget (s)"
-    )
-    batch.add_argument(
-        "--precompute",
-        action="store_true",
-        help="qualitative precomputation in the CTMDP solver (clamp "
-        "Prob0 states before iterating)",
     )
     add_save_policy_option(batch)
     _add_cache_arguments(batch)
@@ -478,7 +465,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         result = check(
             args.query, model, labels, epsilon=args.epsilon,
             record_scheduler=bool(args.save_policy),
-            precompute=args.precompute,
         )
     except ReproError as exc:
         print(f"cannot check {args.query!r}: {exc}", file=sys.stderr)
@@ -735,7 +721,6 @@ def _make_engine(args: argparse.Namespace):
         cache_dir=cache_dir,
         workers=getattr(args, "workers", None),
         timeout=getattr(args, "timeout", None),
-        precompute=getattr(args, "precompute", False),
     )
 
 

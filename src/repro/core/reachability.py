@@ -57,7 +57,7 @@ from repro.core.segments import (
     segment_reduce,
     validate_objective,
 )
-from repro.errors import ModelError, NonUniformError
+from repro.errors import ConvergenceError, ModelError, NonUniformError
 from repro.numerics.foxglynn import FoxGlynn, fox_glynn
 from repro.obs import NumericalCertificate, certificate_from_foxglynn, sweep_span
 
@@ -106,10 +106,6 @@ class ReachabilityResult:
         The numerical-health certificate of this solve: truncation
         accounting, sweep residual and the certified a-posteriori error
         bound (see :mod:`repro.obs.certificate`).
-    states_eliminated:
-        With ``precompute=True``, the number of states outside the
-        sweep: the goal states and the objective's Prob0 set.  Zero
-        without it.
     """
 
     values: np.ndarray
@@ -120,7 +116,6 @@ class ReachabilityResult:
     poisson: FoxGlynn
     decisions: CompressedDecisions | None = None
     certificate: NumericalCertificate | None = None
-    states_eliminated: int = 0
 
     def value(self, state: int) -> float:
         """Probability from ``state``."""
@@ -131,8 +126,8 @@ class ReachabilityResult:
 class _ActiveSet:
     """The states one backward sweep iterates, laid out for the step.
 
-    Built once per model, goal and inactive set in ``O(nnz)``.  The
-    active states -- not goal, not inactive, with at least one
+    Built once per model, goal and blocked set in ``O(nnz)``.  The
+    active states -- not goal, not blocked, with at least one
     transition -- are ordered multi-choice first, so the optimisation
     reduces only over their rows and every single-choice state copies
     its one row.  ``matrix`` holds their transition rows, sliced out of
@@ -159,7 +154,7 @@ class _ActiveSet:
     prob_to_goal: np.ndarray
     #: Decision row of every state the sweep does not optimise: ``0``
     #: (the first transition) where a state has transitions, ``-1``
-    #: where it has none, the zero witness of a clamped Prob0E state.
+    #: where it has none.
     template: np.ndarray
 
     @classmethod
@@ -169,14 +164,13 @@ class _ActiveSet:
         prob_to_goal: np.ndarray,
         choice_ptr: np.ndarray,
         goal: np.ndarray,
-        inactive: np.ndarray | None = None,
-        witness: np.ndarray | None = None,
+        blocked: np.ndarray | None = None,
     ) -> "_ActiveSet":
         choice_ptr = np.asarray(choice_ptr)
         counts = np.diff(choice_ptr)
         candidate = ~goal & (counts > 0)
-        if inactive is not None:
-            candidate &= ~inactive
+        if blocked is not None:
+            candidate &= ~blocked
         multi_states = np.flatnonzero(candidate & (counts > 1))
         states = np.concatenate((multi_states, np.flatnonzero(candidate & (counts == 1))))
         num_active = len(states)
@@ -201,10 +195,6 @@ class _ActiveSet:
             shape=(len(rows), num_active + len(goal_columns)),
         )
 
-        template = np.where(counts > 0, 0, -1).astype(np.int32)
-        if witness is not None:
-            chosen = witness >= 0
-            template[chosen] = witness[chosen].astype(np.int32)
         return cls(
             states=states,
             num_multi=len(multi_states),
@@ -212,7 +202,7 @@ class _ActiveSet:
             row_ptr=row_ptr,
             matrix=matrix,
             prob_to_goal=prob_to_goal[rows],
-            template=template,
+            template=np.where(counts > 0, 0, -1).astype(np.int32),
         )
 
     def values(self, q: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, float]:
@@ -225,26 +215,6 @@ class _ActiveSet:
         residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
         np.clip(values, 0.0, 1.0, out=values)
         return values, residual
-
-
-def _zero_set(
-    ctmdp: CTMDP, goal: np.ndarray, objective: str, safe: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The states whose timed value is 0 at every horizon, per objective.
-
-    Prob0A for ``max`` (no path reaches the goal), Prob0E for ``min``
-    with its witness choice (per state, a transition whose whole support
-    stays inside the zero region; ``-1`` where none is needed), which a
-    recorded scheduler carries so that replaying it reproduces the zero.
-    """
-    from repro.graph.qualitative import prob0_exists, prob0_forall
-    from repro.graph.structure import TransitionGraph
-
-    graph = TransitionGraph.from_ctmdp(ctmdp)
-    if objective == "max":
-        return prob0_forall(graph, goal, safe=safe), None
-    zero, witness = prob0_exists(graph, goal, safe=safe, with_witness=True)
-    return zero, witness
 
 
 class PreparedTimedReachability:
@@ -261,27 +231,14 @@ class PreparedTimedReachability:
     setup, which is what the batched query engine exploits.
 
     :func:`timed_reachability` delegates to this class, so prepared and
-    one-shot solves are bitwise-identical.
-
-    With ``precompute=True`` the active set additionally leaves out the
-    zero set of the requested objective (:mod:`repro.graph.qualitative`),
-    computed on the first :meth:`solve` per objective and cached.  Those
-    states are exactly 0 at every step of the plain sweep too, so the
-    answers are bitwise identical to the plain ones; the result reports
-    the eliminated states.
+    one-shot solves are bitwise-identical.  Both objectives share the
+    one active set.
     """
 
-    def __init__(
-        self,
-        ctmdp: CTMDP,
-        goal: Iterable[int] | np.ndarray,
-        precompute: bool = False,
-    ) -> None:
+    def __init__(self, ctmdp: CTMDP, goal: Iterable[int] | np.ndarray) -> None:
         self.ctmdp = ctmdp
         self.mask = state_mask(ctmdp.num_states, goal, "goal state")
         self.num_states = ctmdp.num_states
-        self.precompute = bool(precompute)
-        self._active: dict[str, _ActiveSet] = {}
         self._ready = False
         if not self.mask.any():
             return
@@ -291,11 +248,9 @@ class PreparedTimedReachability:
         self.rate = rate
         self.prob = ctmdp.probability_matrix()  # T x S, row-stochastic
         self.prob_to_goal = self.prob @ self.mask.astype(np.float64)  # Pr_R(s, B)
-        if not self.precompute:
-            plain = _ActiveSet.build(
-                self.prob, self.prob_to_goal, ctmdp.choice_ptr, self.mask
-            )
-            self._active = {"max": plain, "min": plain}
+        self._active = _ActiveSet.build(
+            self.prob, self.prob_to_goal, ctmdp.choice_ptr, self.mask
+        )
         self._ready = True
 
     def _trivial_result(self, t: float, epsilon: float, objective: str) -> ReachabilityResult:
@@ -315,18 +270,6 @@ class PreparedTimedReachability:
             poisson=fox_glynn(0.0, min(epsilon, 0.5)),
             certificate=NumericalCertificate.trivial("ctmdp.reachability", epsilon),
         )
-
-    def _active_set(self, objective: str) -> _ActiveSet:
-        """The active set of ``objective`` (built once per objective;
-        only the ``precompute`` sets depend on it)."""
-        active = self._active.get(objective)
-        if active is None:
-            zero, witness = _zero_set(self.ctmdp, self.mask, objective)
-            active = _ActiveSet.build(
-                self.prob, self.prob_to_goal, self.ctmdp.choice_ptr, self.mask, zero, witness
-            )
-            self._active[objective] = active
-        return active
 
     def solve(
         self,
@@ -350,7 +293,7 @@ class PreparedTimedReachability:
             return self._trivial_result(t, epsilon, objective)
 
         return _sweep(
-            active=self._active_set(objective),
+            active=self._active,
             num_states=self.num_states,
             num_transitions=self.ctmdp.num_transitions,
             goal=self.mask,
@@ -359,7 +302,6 @@ class PreparedTimedReachability:
             epsilon=epsilon,
             objective=objective,
             record_scheduler=record_scheduler,
-            precompute=self.precompute,
             span_name="reachability.sweep",
             algorithm="ctmdp.reachability",
         )
@@ -376,7 +318,6 @@ def _sweep(
     epsilon: float,
     objective: str,
     record_scheduler: bool,
-    precompute: bool,
     span_name: str,
     algorithm: str,
 ) -> ReachabilityResult:
@@ -385,9 +326,9 @@ def _sweep(
     Shared by timed reachability and timed until.  Every goal state
     starts at 0 and follows ``g <- psi_i + g``, so one scalar carries
     all of them; every other state outside ``active`` (no transition,
-    blocked, or clamped zero) is 0 at every step.  Recorded decisions
-    take the argbest at the multi-choice active states and
-    ``active.template`` everywhere else.
+    or blocked) is 0 at every step.  Recorded decisions take the
+    argbest at the multi-choice active states and ``active.template``
+    everywhere else.
     """
     fg = fox_glynn(rate * t, epsilon)
     psi = fg.probabilities()
@@ -414,7 +355,6 @@ def _sweep(
         states=num_states,
         transitions=num_transitions,
         active=num_active,
-        precompute=precompute,
         iterations=k,
         lam=rate * t,
     ) as steps:
@@ -444,8 +384,6 @@ def _sweep(
                 steps.record(perf_counter() - step_started)
 
     values, residual = active.values(q, goal)
-    states_eliminated = num_states - num_active if precompute else 0
-
     return ReachabilityResult(
         values=values,
         iterations=k,
@@ -455,13 +393,8 @@ def _sweep(
         poisson=fg,
         decisions=writer.finish() if writer is not None else None,
         certificate=certificate_from_foxglynn(
-            fg,
-            epsilon,
-            algorithm,
-            sweep_residual=residual,
-            states_eliminated=states_eliminated,
+            fg, epsilon, algorithm, sweep_residual=residual
         ),
-        states_eliminated=states_eliminated,
     )
 
 
@@ -472,7 +405,6 @@ def timed_reachability(
     epsilon: float = 1e-6,
     objective: str = "max",
     record_scheduler: bool = False,
-    precompute: bool = False,
 ) -> ReachabilityResult:
     """Run Algorithm 1 on a uniform CTMDP.
 
@@ -496,17 +428,12 @@ def timed_reachability(
         If true, record the optimising transition per state and step,
         streamed into a :class:`~repro.policy.store.CompressedDecisions`
         store during the sweep.
-    precompute:
-        If true, first compute the objective's qualitative zero set and
-        leave it out of the sweep as well.  Values are bitwise identical
-        to the plain sweep's (those states are exactly 0 there too); the
-        result reports ``states_eliminated``.
 
     Returns
     -------
     ReachabilityResult
     """
-    return PreparedTimedReachability(ctmdp, goal, precompute=precompute).solve(
+    return PreparedTimedReachability(ctmdp, goal).solve(
         t,
         epsilon=epsilon,
         objective=objective,
@@ -606,7 +533,7 @@ def replay_step_scheduler(
     # only the active rows are computed; each active state then takes
     # the value of its chosen row.
     if blocked is None:
-        active = prepared._active_set("max")
+        active = prepared._active
     else:
         active = _ActiveSet.build(
             prepared.prob, prepared.prob_to_goal, ctmdp.choice_ptr, prepared.mask, blocked
@@ -653,44 +580,43 @@ def unbounded_reachability(
     objective: str = "max",
     tol: float = 1e-12,
     max_iterations: int = 1_000_000,
-    precompute: bool = False,
 ) -> np.ndarray:
     """(Time-)unbounded reachability probabilities via value iteration.
 
     The continuous-time dynamics are irrelevant for the event "``B`` is
-    ever reached", so this is plain value iteration on the embedded
-    DTMDP.  Used for sanity checks (timed probabilities must converge to
-    these values as ``t`` grows) and as a general-purpose utility.
+    ever reached", so this is value iteration on the embedded DTMDP.
+    Used for sanity checks (timed probabilities must converge to these
+    values as ``t`` grows) and by ``repro check`` for ``F`` queries
+    without a time bound.
 
-    With ``precompute=True`` both qualitative sets of the objective are
-    clamped before iterating -- unlike the timed solvers, the *one* set
-    is sound here (``Pmax = 1`` / ``Pmin = 1`` membership is exactly the
-    unbounded value), which removes the slowest-converging states from
-    the iteration entirely.
+    The objective's qualitative sets (:mod:`repro.graph.qualitative`)
+    are pinned before iterating: Prob0A and Prob1E for ``max``, Prob0E
+    and Prob1A for ``min``.  Membership decides the unbounded value
+    exactly, and the one-set is where plain value iteration crawls: on
+    the FTWC every state is Prob1E, yet plain iteration ends its
+    1,000,000-step budget 0.8% short of 1 at N=2.
+
+    Raises :class:`~repro.errors.ConvergenceError` when ``max_iterations``
+    steps leave the largest per-state change at or above ``tol``.
     """
+    from repro.graph.qualitative import (
+        prob0_exists,
+        prob0_forall,
+        prob1_exists,
+        prob1_forall,
+    )
+    from repro.graph.structure import TransitionGraph
+
     validate_objective(objective)
     mask = state_mask(ctmdp.num_states, goal, "goal state")
     if not mask.any():
         return np.zeros(ctmdp.num_states)
 
-    zero: np.ndarray | None = None
-    one: np.ndarray | None = None
-    if precompute:
-        from repro.graph.qualitative import (
-            prob0_exists,
-            prob0_forall,
-            prob1_exists,
-            prob1_forall,
-        )
-        from repro.graph.structure import TransitionGraph
-
-        graph = TransitionGraph.from_ctmdp(ctmdp)
-        if objective == "max":
-            zero = prob0_forall(graph, mask)
-            one = prob1_exists(graph, mask)
-        else:
-            zero = np.asarray(prob0_exists(graph, mask))
-            one = prob1_forall(graph, mask)
+    graph = TransitionGraph.from_ctmdp(ctmdp)
+    if objective == "max":
+        zero, one = prob0_forall(graph, mask), prob1_exists(graph, mask)
+    else:
+        zero, one = prob0_exists(graph, mask), prob1_forall(graph, mask)
 
     prob = ctmdp.probability_matrix()
     segments = SegmentIndex.from_choice_ptr(ctmdp.choice_ptr)
@@ -699,22 +625,22 @@ def unbounded_reachability(
         "vi.sweep", objective=objective, states=ctmdp.num_states, kind="unbounded"
     ) as steps:
         record_steps = steps.enabled
-        q = mask.astype(np.float64)
-        if one is not None:
-            q[one] = 1.0
+        q = one.astype(np.float64)  # the one-set contains the goal
+        delta = np.inf
         for _ in range(max_iterations):
             step_started = perf_counter() if record_steps else 0.0
             transition_values = prob @ q
             new_q = np.zeros(ctmdp.num_states)
             new_q[segments.nonempty] = segment_reduce(transition_values, segments, objective)
-            new_q[mask] = 1.0
-            if one is not None:
-                new_q[one] = 1.0
-            if zero is not None:
-                new_q[zero] = 0.0
+            new_q[one] = 1.0
+            new_q[zero] = 0.0
             if record_steps:
                 steps.record(perf_counter() - step_started)
-            if np.max(np.abs(new_q - q)) < tol:
+            delta = float(np.max(np.abs(new_q - q)))
+            if delta < tol:
                 return new_q
             q = new_q
-    return q
+    raise ConvergenceError(
+        f"value iteration did not converge within {max_iterations} iterations "
+        f"(last delta {delta:.3g}, tol {tol:g})"
+    )

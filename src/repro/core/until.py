@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.reachability import ReachabilityResult, _ActiveSet, _sweep, _zero_set
+from repro.core.reachability import ReachabilityResult, _ActiveSet, _sweep
 from repro.core.segments import validate_objective
 from repro.errors import ModelError, NonUniformError
 from repro.numerics.foxglynn import fox_glynn
@@ -42,7 +42,6 @@ def timed_until(
     epsilon: float = 1e-6,
     objective: str = "max",
     record_scheduler: bool = False,
-    precompute: bool = False,
 ) -> ReachabilityResult:
     """Optimal probability of ``safe U^{<=t} goal`` per state.
 
@@ -66,11 +65,6 @@ def timed_until(
         (the same shape Algorithm 1's reachability extraction produces;
         blocked states are not swept and record the first transition --
         their value is pinned to zero whatever is chosen).
-    precompute:
-        If true, also leave the qualitative zero set of the until
-        objective (blocked states included) out of the sweep; values
-        stay bitwise identical, see
-        :func:`repro.core.reachability.timed_reachability`.
 
     Returns
     -------
@@ -109,16 +103,8 @@ def timed_until(
     prob = ctmdp.probability_matrix()
     prob_to_goal = prob @ goal_mask.astype(np.float64)
 
-    inactive = blocked
-    witness: np.ndarray | None = None
-    if precompute:
-        # Blocked states are in either zero set by construction.
-        inactive, witness = _zero_set(ctmdp, goal_mask, objective, safe=safe_mask)
-
     return _sweep(
-        active=_ActiveSet.build(
-            prob, prob_to_goal, ctmdp.choice_ptr, goal_mask, inactive, witness
-        ),
+        active=_ActiveSet.build(prob, prob_to_goal, ctmdp.choice_ptr, goal_mask, blocked),
         num_states=ctmdp.num_states,
         num_transitions=ctmdp.num_transitions,
         goal=goal_mask,
@@ -127,7 +113,6 @@ def timed_until(
         epsilon=epsilon,
         objective=objective,
         record_scheduler=record_scheduler,
-        precompute=precompute,
         span_name="until.sweep",
         algorithm="ctmdp.until",
     )

@@ -218,16 +218,8 @@ def _solve_group(
     registry: ModelRegistry,
     group: QueryGroup,
     timeout: float | None,
-    precompute: bool = False,
 ) -> list[QueryResult]:
-    """Answer one group against a single prepared solver.
-
-    ``precompute`` enables qualitative precomputation in the CTMDP
-    solver (see :class:`PreparedTimedReachability`); CTMC groups ignore
-    it.  The answers are the same bits either way; it is off by default
-    because each group prepares a new solver, so the Prob0 pass would be
-    paid on every request, also where it finds nothing (the FTWC).
-    """
+    """Answer one group against a single prepared solver."""
     metrics = registry.metrics
     try:
         built = registry.get(group.spec)
@@ -244,7 +236,7 @@ def _solve_group(
         ):
             if built.kind == "ctmdp":
                 prepared: PreparedTimedReachability | PreparedCTMCReachability = (
-                    PreparedTimedReachability(built.model, goal, precompute=precompute)
+                    PreparedTimedReachability(built.model, goal)
                 )
             else:
                 prepared = PreparedCTMCReachability(built.model, goal)
@@ -282,10 +274,6 @@ def _solve_group(
             metrics.add_time("solve_seconds", seconds)
             metrics.count("foxglynn")
             metrics.count("iterations", iterations)
-            if certificate is not None and certificate.states_eliminated:
-                metrics.count(
-                    "precompute_states_eliminated", certificate.states_eliminated
-                )
             if certificate is not None:
                 record_certificate(metrics, certificate)
             results.append(
@@ -331,7 +319,6 @@ def _worker_solve_group(
     cache_dir: str | None,
     timeout: float | None,
     trace_id: str | None = None,
-    precompute: bool = False,
 ) -> tuple[list[QueryResult], dict, dict | None]:
     """Process-pool entry point: solve one group in a fresh registry.
 
@@ -348,10 +335,10 @@ def _worker_solve_group(
     registry = ModelRegistry(cache_dir=cache_dir)
     payload = None
     if trace_id is None:
-        results = _solve_group(registry, group, timeout, precompute=precompute)
+        results = _solve_group(registry, group, timeout)
     else:
         with tracing(trace_id=trace_id) as tracer:
-            results = _solve_group(registry, group, timeout, precompute=precompute)
+            results = _solve_group(registry, group, timeout)
             payload = {
                 "spans": tracer.as_dicts(),
                 "origin_epoch": tracer.origin_epoch,
@@ -366,7 +353,6 @@ def run_batch(
     workers: int | None = None,
     timeout: float | None = None,
     record_schedulers: bool = False,
-    precompute: bool = False,
 ) -> BatchResult:
     """Answer a batch of queries; results come back in input order.
 
@@ -388,11 +374,6 @@ def run_batch(
         Extract the optimal step scheduler of every CTMDP solve (in the
         compressed streaming format) and attach it to the result as a
         :class:`repro.policy.PolicyArtifact` under ``result.policy``.
-    precompute:
-        Run qualitative graph precomputation (Prob0 clamping) inside
-        the CTMDP solver.  The values are identical either way; off by
-        default because the Prob0 pass costs more than it saves where
-        the Prob0 set is empty.
     """
     batch = list(queries)
     registry = registry if registry is not None else ModelRegistry()
@@ -422,7 +403,6 @@ def run_batch(
                     cache_dir,
                     timeout,
                     trace_id,
-                    precompute,
                 ): group
                 for group in groups
             }
@@ -443,7 +423,7 @@ def run_batch(
                     slots[result.index] = result
     else:
         for group in groups:
-            for result in _solve_group(registry, group, timeout, precompute=precompute):
+            for result in _solve_group(registry, group, timeout):
                 slots[result.index] = result
 
     results = [slot for slot in slots if slot is not None]
@@ -461,7 +441,6 @@ def run_batch_dicts(
     workers: int | None = None,
     timeout: float | None = None,
     record_schedulers: bool = False,
-    precompute: bool = False,
 ) -> BatchResult:
     """Like :func:`run_batch`, but over raw query dictionaries.
 
@@ -484,7 +463,6 @@ def run_batch_dicts(
         workers=workers,
         timeout=timeout,
         record_schedulers=record_schedulers,
-        precompute=precompute,
     )
     slots: list[QueryResult | None] = [None] * len(records)
     for (index, _query), result in zip(parsed, inner.results):
@@ -519,14 +497,12 @@ class QueryEngine:
         cache_dir: str | None = None,
         workers: int | None = None,
         timeout: float | None = None,
-        precompute: bool = False,
     ) -> None:
         if registry is None:
             registry = ModelRegistry(cache_dir=cache_dir)
         self.registry = registry
         self.workers = workers
         self.timeout = timeout
-        self.precompute = precompute
 
     @property
     def metrics(self) -> EngineMetrics:
@@ -547,7 +523,6 @@ class QueryEngine:
             workers=self.workers,
             timeout=self.timeout,
             record_schedulers=record_schedulers,
-            precompute=self.precompute,
         )
 
     def run_dicts(
@@ -564,5 +539,4 @@ class QueryEngine:
             workers=self.workers,
             timeout=self.timeout,
             record_schedulers=record_schedulers,
-            precompute=self.precompute,
         )

@@ -77,6 +77,13 @@ class ConvergenceError(ReproError):
     fixpoint: the partial partition is *not* a bisimulation, so
     quotienting by it would be unsound.  Callers that genuinely want the
     partial result pass ``allow_unconverged=True`` instead.
+
+    Also raised by unbounded value iteration
+    (:func:`repro.core.reachability.unbounded_reachability`,
+    :func:`repro.mdp.value_iteration.unbounded_reachability`) when
+    ``max_iterations`` steps end with the last change still at or above
+    ``tol``: the current vector is not the fixpoint, so it is never
+    returned as one.
     """
 
 

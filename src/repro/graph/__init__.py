@@ -7,9 +7,8 @@ floating-point operation.  Three consumers build on it:
 
 * ``repro lint --graph`` turns structural defects into stable ``Qxxx``
   diagnostics (see :mod:`repro.lint.graph`);
-* the solvers clamp known-zero states before value iteration and
-  restrict their sweeps to the undecided set
-  (:mod:`repro.core.reachability` and friends);
+* unbounded reachability pins the objective's Prob0 and Prob1 sets
+  before value iteration (:mod:`repro.core.reachability`);
 * ``repro analyze`` prints the condensation / MEC / qualitative summary
   for any builtin family or model file.
 """

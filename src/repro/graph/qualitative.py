@@ -21,9 +21,8 @@ sparse mat-vec per fixpoint round classifies every choice row at once
 over ``choice_ptr`` lifts rows back to states, making each round
 O(transitions) instead of O(states * transitions).
 
-The solver layer clamps these sets before value iteration
-(see ``docs/qualitative.md`` for why only zero sets are sound clamps
-for *time-bounded* objectives).
+Unbounded value iteration pins these sets before iterating (see
+``docs/qualitative.md`` for why the time-bounded sweeps do not).
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from repro.imc.alternating import (
     strictly_alternating,
     word_label,
 )
-from repro.imc.algebra import ProcessSpec, choice, prefix, ref, stop
 from repro.imc.composition import (
     hide,
     hide_all_but,
@@ -43,11 +42,6 @@ __all__ = [
     "parallel_with_map",
     "relabel",
     "elapse",
-    "ProcessSpec",
-    "choice",
-    "prefix",
-    "ref",
-    "stop",
     "LabeledIMC",
     "add_tuples",
     "cycle_lts",

@@ -91,7 +91,6 @@ def _probability(
     state: int,
     epsilon: float,
     record_scheduler: bool = False,
-    precompute: bool = False,
 ) -> tuple[float, NumericalCertificate | None, ReachabilityResult | None]:
     """The queried probability, the solve's certificate, and -- for
     time-bounded CTMDP solves -- the full result object (carrying the
@@ -122,20 +121,16 @@ def _probability(
             return interval.value, interval.certificate, None
         if path.bound is None:
             if is_ctmdp:
-                return float(
-                    unbounded_reachability(
-                        model, goal, objective=query.objective.value,
-                        precompute=precompute,
-                    )[state]
-                ), None, None
-            # Unbounded reachability on a CTMC: the embedded jump chain
-            # decides it; reuse the CTMDP machinery on a wrapped model.
-            return float(_ctmc_unbounded(model, goal)[state]), None, None
+                values = unbounded_reachability(model, goal, objective=query.objective.value)
+            else:
+                # Unbounded reachability on a CTMC: the embedded jump chain
+                # decides it; reuse the CTMDP machinery on a wrapped model.
+                values = _ctmc_unbounded(model, goal)
+            return float(values[state]), None, None
         if is_ctmdp:
             result = timed_reachability(
                 model, goal, path.bound, epsilon=epsilon,
                 objective=query.objective.value, record_scheduler=record_scheduler,
-                precompute=precompute,
             )
             return result.value(state), result.certificate, result
         reach = ctmc_timed_reachability(model, goal, path.bound, epsilon=epsilon)
@@ -150,7 +145,6 @@ def _probability(
         result = ctmdp_timed_until(
             model, safe, goal, path.bound, epsilon=epsilon,
             objective=query.objective.value, record_scheduler=record_scheduler,
-            precompute=precompute,
         )
         return result.value(state), result.certificate, result
     until = ctmc_timed_until(model, safe, goal, path.bound, epsilon=epsilon)
@@ -174,7 +168,6 @@ def check(
     state: int | None = None,
     epsilon: float = 1e-6,
     record_scheduler: bool = False,
-    precompute: bool = False,
 ) -> CheckResult:
     """Evaluate ``query`` on ``model`` at ``state``.
 
@@ -196,11 +189,6 @@ def check(
         Record the optimal scheduler during time-bounded CTMDP solves
         (streamed into a compressed store); it is returned on
         ``CheckResult.solver_result.decisions``.
-    precompute:
-        Clamp qualitatively-decided states (the Prob0 set of the
-        objective; for unbounded reachability also the Prob1 set)
-        before iterating in the CTMDP probability engines.  Timed
-        values are identical; unbounded values agree within epsilon.
     """
     if isinstance(query, str):
         query = parse_query(query)
@@ -212,7 +200,7 @@ def check(
     if isinstance(query, ProbabilityQuery):
         value, certificate, solver_result = _probability(
             query, model, labels, state, epsilon,
-            record_scheduler=record_scheduler, precompute=precompute,
+            record_scheduler=record_scheduler,
         )
         return CheckResult(
             query=query,

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.segments import SegmentIndex, segment_reduce, validate_objective
-from repro.errors import ModelError
+from repro.errors import ConvergenceError, ModelError
 from repro.mdp.model import DTMDP
 from repro.obs import sweep_span
 from repro.states import state_mask
@@ -61,58 +61,37 @@ def unbounded_reachability(
     objective: str = "max",
     tol: float = 1e-12,
     max_iterations: int = 1_000_000,
-    precompute: bool = False,
 ) -> np.ndarray:
-    """Optimal probability to ever reach ``goal`` (value iteration).
+    """Optimal probability to ever reach ``goal`` (plain value iteration).
 
-    With ``precompute=True`` the qualitative zero and one sets of the
-    objective are clamped before iterating (sound for the unbounded
-    objective: membership decides the value exactly), which removes the
-    slowest-converging states from the iteration.
+    No qualitative set is pinned, so this is the independent reference
+    for :func:`repro.core.reachability.unbounded_reachability`.  Raises
+    :class:`~repro.errors.ConvergenceError` when ``max_iterations``
+    steps leave the largest per-state change at or above ``tol``.
     """
     validate_objective(objective)
     mask = state_mask(mdp.num_states, goal, "goal state")
     segments = SegmentIndex.from_choice_ptr(mdp.choice_ptr)
-
-    zero: np.ndarray | None = None
-    one: np.ndarray | None = None
-    if precompute:
-        from repro.graph.qualitative import (
-            prob0_exists,
-            prob0_forall,
-            prob1_exists,
-            prob1_forall,
-        )
-        from repro.graph.structure import TransitionGraph
-
-        graph = TransitionGraph.from_dtmdp(mdp)
-        if objective == "max":
-            zero = prob0_forall(graph, mask)
-            one = prob1_exists(graph, mask)
-        else:
-            zero = np.asarray(prob0_exists(graph, mask))
-            one = prob1_forall(graph, mask)
 
     with sweep_span(
         "vi.sweep", objective=objective, states=mdp.num_states, kind="unbounded"
     ) as recorder:
         record_steps = recorder.enabled
         q = mask.astype(np.float64)
-        if one is not None:
-            q[one] = 1.0
+        delta = np.inf
         for _ in range(max_iterations):
             step_started = perf_counter() if record_steps else 0.0
             values = mdp.probabilities @ q
             new_q = np.zeros(mdp.num_states)
             new_q[segments.nonempty] = segment_reduce(values, segments, objective)
             new_q[mask] = 1.0
-            if one is not None:
-                new_q[one] = 1.0
-            if zero is not None:
-                new_q[zero] = 0.0
             if record_steps:
                 recorder.record(perf_counter() - step_started)
-            if np.max(np.abs(new_q - q)) < tol:
+            delta = float(np.max(np.abs(new_q - q)))
+            if delta < tol:
                 return new_q
             q = new_q
-    return q
+    raise ConvergenceError(
+        f"value iteration did not converge within {max_iterations} iterations "
+        f"(last delta {delta:.3g}, tol {tol:g})"
+    )

@@ -122,11 +122,9 @@ class NumericalCertificate:
         at most ``epsilon`` plus floating-point noise when the solve is
         healthy.
     states_eliminated:
-        States the qualitative precomputation removed from the sweep
-        (clamped to their known value, or folded into the scalar goal
-        recursion).  Zero when precomputation was off -- the answer is
-        certified either way; this records how much work the graph
-        analysis saved.
+        States a solver decided without solving for them (expected
+        time: the goal states and the qualitatively infinite ones).
+        Zero for the Poisson-truncated solves.
     """
 
     algorithm: str
@@ -228,7 +226,7 @@ class NumericalCertificate:
             sweep_residual=float(record["sweep_residual"]),
             fp_slack=float(record["fp_slack"]),
             error_bound=float(record["error_bound"]),
-            # Absent in certificates stored before precomputation existed.
+            # Absent in certificates stored before the field existed.
             states_eliminated=int(record.get("states_eliminated", 0)),
         )
 
@@ -238,16 +236,13 @@ def certificate_from_foxglynn(
     epsilon: float,
     algorithm: str,
     sweep_residual: float = 0.0,
-    states_eliminated: int = 0,
 ) -> NumericalCertificate:
     """Issue a certificate for one Poisson-truncated solve.
 
     ``fg`` is the Fox-Glynn data the solve actually used;
     ``sweep_residual`` is the largest out-of-``[0, 1]`` excursion the
     sweep produced before clipping (``0.0`` for analyses that cannot
-    drift, e.g. a plain transient distribution); ``states_eliminated``
-    is the number of states the qualitative precomputation removed from
-    the sweep.
+    drift, e.g. a plain transient distribution).
     """
     with span("solver.certificate", algorithm=algorithm):
         weights = np.asarray(fg.weights, dtype=np.float64)
@@ -273,7 +268,6 @@ def certificate_from_foxglynn(
         sweep_residual=float(sweep_residual),
         fp_slack=fp_slack,
         error_bound=error_bound,
-        states_eliminated=int(states_eliminated),
     )
 
 

@@ -6,7 +6,6 @@ from repro.sim.imc_sim import (
     random_resolver,
     simulate_imc_reachability,
 )
-from repro.sim.smc import SPRTResult, sprt, sprt_ctmc_reachability, sprt_ctmdp_reachability
 from repro.sim.simulate import (
     SimulationEstimate,
     simulate_ctmc_reachability,
@@ -14,10 +13,6 @@ from repro.sim.simulate import (
 )
 
 __all__ = [
-    "SPRTResult",
-    "sprt",
-    "sprt_ctmc_reachability",
-    "sprt_ctmdp_reachability",
     "Resolver",
     "first_resolver",
     "random_resolver",

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.bisim.branching import branching_bisimulation
-from repro.bisim.lumping import lumping_partition
 from repro.bisim.signatures import (
     quantize_rate,
     quantize_rates,
@@ -30,7 +29,6 @@ from repro.bisim.signatures import (
     stable_rate_sum,
 )
 from repro.bisim.strong import strong_bisimulation
-from repro.ctmc.model import CTMC
 from repro.imc.model import IMC
 
 
@@ -146,12 +144,6 @@ class TestBisimulationRegressions:
             markov=[(0, 0.1, 2), (0, 0.2, 2), (1, 0.3, 2), (2, 1.0, 2)],
         )
         assert strong_bisimulation(imc).same_block(0, 1)
-
-    def test_lumping_uses_shared_quantisation(self):
-        ctmc = CTMC.from_transitions(
-            3, [(0, 2, 0.1), (0, 2, 0.2), (1, 2, 0.3), (2, 2, 1.0)]
-        )
-        assert lumping_partition(ctmc).same_block(0, 1)
 
     def test_genuinely_different_rates_still_split(self):
         imc = IMC(num_states=2, markov=[(0, 1.0, 0), (1, 2.0, 1)])

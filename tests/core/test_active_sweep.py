@@ -1,14 +1,12 @@
 """The active-set sweep against the full-row oracle, bit for bit.
 
 Algorithm 1's sweep iterates only the undecided states: not goal, not
-blocked, with at least one transition and, under ``precompute=True``,
-outside the objective's Prob0 set.  Every other state has a closed-form
-value at every step, so the answers must equal the full-row recursion of
-:mod:`tests.oracles.sweep` exactly -- with and without ``precompute``.
-Recorded decisions equal the oracle's at the swept states and follow a
-fixed template everywhere else: the first transition (``0``) where a
-state has transitions, ``-1`` where it has none, and the zero witness of
-a clamped Prob0E state.
+blocked, with at least one transition.  Every other state has a
+closed-form value at every step, so the answers must equal the full-row
+recursion of :mod:`tests.oracles.sweep` exactly.  Recorded decisions
+equal the oracle's at the swept states and follow a fixed template
+everywhere else: the first transition (``0``) where a state has
+transitions, ``-1`` where it has none.
 """
 
 import numpy as np
@@ -23,8 +21,6 @@ from repro.core.reachability import (
     timed_reachability,
 )
 from repro.core.until import timed_until
-from repro.graph.qualitative import prob0_exists, prob0_forall
-from repro.graph.structure import TransitionGraph
 from repro.models import ftwc_direct
 from tests.core.test_reachability_properties import models_with_goals
 from tests.oracles.sweep import full_row_replay, full_row_sweep
@@ -32,34 +28,24 @@ from tests.oracles.sweep import full_row_replay, full_row_sweep
 EPSILON = 1e-10
 
 
-def _expected_decisions(ctmdp, goal, blocked, objective, precompute, oracle):
+def _expected_decisions(ctmdp, goal, blocked, oracle):
     """The oracle's decisions at the swept states, the template elsewhere."""
     counts = np.diff(ctmdp.choice_ptr)
     template = np.where(counts > 0, 0, -1).astype(np.int32)
     swept = ~goal & (counts > 0)
     if blocked is not None:
         swept &= ~blocked
-    if precompute:
-        graph = TransitionGraph.from_ctmdp(ctmdp)
-        safe = None if blocked is None else ~blocked
-        if objective == "max":
-            zero = prob0_forall(graph, goal, safe=safe)
-        else:
-            zero, witness = prob0_exists(graph, goal, safe=safe, with_witness=True)
-            template[witness >= 0] = witness[witness >= 0]
-        swept &= ~zero
     return np.where(swept, oracle, template)
 
 
-def _solve(ctmdp, goal, blocked, t, objective, precompute):
+def _solve(ctmdp, goal, blocked, t, objective):
     if blocked is None:
         return timed_reachability(
-            ctmdp, goal, t, epsilon=EPSILON, objective=objective,
-            record_scheduler=True, precompute=precompute,
+            ctmdp, goal, t, epsilon=EPSILON, objective=objective, record_scheduler=True
         )
     return timed_until(
         ctmdp, ~blocked, goal, t, epsilon=EPSILON, objective=objective,
-        record_scheduler=True, precompute=precompute,
+        record_scheduler=True,
     )
 
 
@@ -76,15 +62,12 @@ class TestOracleEquality:
             values, decisions = full_row_sweep(
                 ctmdp, goal, t, EPSILON, objective, blocked=blocked
             )
-            for precompute in (False, True):
-                result = _solve(ctmdp, goal, blocked, t, objective, precompute)
-                np.testing.assert_array_equal(result.values, values)
-                np.testing.assert_array_equal(
-                    result.decisions.dense(),
-                    _expected_decisions(
-                        ctmdp, goal, blocked, objective, precompute, decisions
-                    ),
-                )
+            result = _solve(ctmdp, goal, blocked, t, objective)
+            np.testing.assert_array_equal(result.values, values)
+            np.testing.assert_array_equal(
+                result.decisions.dense(),
+                _expected_decisions(ctmdp, goal, blocked, decisions),
+            )
 
     @pytest.mark.parametrize("until", [False, True])
     def test_deadlock_states_record_no_choice(self, until):
@@ -104,17 +87,13 @@ class TestOracleEquality:
             values, decisions = full_row_sweep(
                 ctmdp, goal, 2.0, EPSILON, objective, blocked=blocked
             )
-            for precompute in (False, True):
-                result = _solve(ctmdp, goal, blocked, 2.0, objective, precompute)
-                np.testing.assert_array_equal(result.values, values)
-                recorded = result.decisions.dense()
-                np.testing.assert_array_equal(
-                    recorded,
-                    _expected_decisions(
-                        ctmdp, goal, blocked, objective, precompute, decisions
-                    ),
-                )
-                assert (recorded[:, 2] == -1).all()
+            result = _solve(ctmdp, goal, blocked, 2.0, objective)
+            np.testing.assert_array_equal(result.values, values)
+            recorded = result.decisions.dense()
+            np.testing.assert_array_equal(
+                recorded, _expected_decisions(ctmdp, goal, blocked, decisions)
+            )
+            assert (recorded[:, 2] == -1).all()
 
     @given(data=models_with_goals(), t=st.floats(0.1, 10.0), until=st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -148,13 +127,11 @@ class TestFTWC:
     @pytest.mark.parametrize("t", [1.0, 100.0, 500.0])
     def test_values_equal_oracle(self, ftwc, label, t):
         goal = ftwc.goal_mask if label == "no_premium" else ~ftwc.goal_mask
-        plain = PreparedTimedReachability(ftwc.ctmdp, goal)
-        clamped = PreparedTimedReachability(ftwc.ctmdp, goal, precompute=True)
+        prepared = PreparedTimedReachability(ftwc.ctmdp, goal)
         for objective in ("max", "min"):
             values, _ = full_row_sweep(ftwc.ctmdp, goal, t, 1e-6, objective)
-            np.testing.assert_array_equal(plain.solve(t, objective=objective).values, values)
             np.testing.assert_array_equal(
-                clamped.solve(t, objective=objective).values, values
+                prepared.solve(t, objective=objective).values, values
             )
 
 
@@ -169,5 +146,5 @@ def test_ftwc_decisions_follow_oracle_and_template(label):
         )
         np.testing.assert_array_equal(
             result.decisions.dense(),
-            _expected_decisions(model.ctmdp, goal, None, objective, False, decisions),
+            _expected_decisions(model.ctmdp, goal, None, decisions),
         )

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ctmdp import CTMDP
-from repro.core.reachability import timed_reachability, unbounded_reachability
+from repro.core.reachability import timed_reachability
 from repro.graph import (
     graph_of,
     prob0_exists,
@@ -27,6 +27,7 @@ from repro.graph import (
     prob1_forall,
     qualitative_analysis,
 )
+from repro.mdp import unbounded_reachability
 from repro.models import ftwc_direct
 from tests.core.test_reachability_properties import (
     models_with_goals,
@@ -209,14 +210,16 @@ class TestNumericAgreement:
     @given(data=models_with_goals())
     @settings(max_examples=30, deadline=None)
     def test_prob1_states_reach_one_in_unbounded_vi(self, data):
-        """Unbounded VI converges to 1 on the Prob1 set of its objective
-        (the strategy's transition weights bound the contraction factor
-        away from 1, so tol=1e-13 lands well within 1e-6)."""
+        """Plain unbounded VI on the embedded DTMDP converges to 1 on
+        the Prob1 set of its objective (the strategy's transition weights
+        bound the contraction factor away from 1, so tol=1e-13 lands well
+        within 1e-6)."""
         ctmdp, goal = data
         graph = graph_of(ctmdp)
-        sup = unbounded_reachability(ctmdp, goal, objective="max", tol=1e-13)
+        embedded = ctmdp.embedded_dtmdp()
+        sup = unbounded_reachability(embedded, goal, objective="max", tol=1e-13)
         assert (sup[prob1_exists(graph, goal)] >= 1.0 - 1e-6).all()
-        inf = unbounded_reachability(ctmdp, goal, objective="min", tol=1e-13)
+        inf = unbounded_reachability(embedded, goal, objective="min", tol=1e-13)
         assert (inf[prob1_forall(graph, goal)] >= 1.0 - 1e-6).all()
 
     @given(data=models_with_goals(), t=st.floats(0.5, 10.0))

@@ -296,34 +296,22 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(tmp_path / "missing.tra")]) == 2
 
 
-class TestCheckPrecompute:
-    def parse_value(self, out: str) -> float:
-        # First line: <query> = <value>; a certificate line follows.
-        return float(out.splitlines()[0].split("=")[-1].strip())
+class TestCheckUnbounded:
+    def test_unbounded_reachability_is_exact(self, capsys):
+        """Every FTWC state reaches ``no_premium`` almost surely, so the
+        answer is exactly 1 and the threshold holds."""
+        assert main(["check", 'Pmax>=0.999 [ F "no_premium" ]', "--n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith("= 1  [True]")
 
-    def test_precompute_matches_plain_check(self, capsys):
-        query = 'Pmax=? [ F<=100 "no_premium" ]'
-        assert main(["check", query, "--n", "1"]) == 3
-        plain = self.parse_value(capsys.readouterr().out)
-        assert main(["check", query, "--n", "1", "--precompute"]) == 3
-        clamped = self.parse_value(capsys.readouterr().out)
-        assert abs(plain - clamped) < 1e-9
-
-    def test_batch_precompute_counts_eliminated_states(self, tmp_path, capsys):
-        queries = tmp_path / "queries.json"
-        queries.write_text(
-            json.dumps([{"model": {"family": "ftwc", "n": 1}, "t": 10.0}]),
-            encoding="utf-8",
-        )
-        code = main(
-            ["batch", str(queries), "--precompute",
-             "--cache-dir", str(tmp_path / "cache")]
-        )
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        counters = document["metrics"]["counters"]
-        assert counters["precompute_states_eliminated"] > 0
-        assert all(r["error"] is None for r in document["results"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", 'Pmax=? [ F<=1 "no_premium" ]', "--n", "1"],
+            ["batch", str(SMOKE_FILE), "--no-disk-cache"],
+        ],
+    )
+    def test_precompute_flag_is_a_usage_error(self, argv, capsys):
+        assert main([*argv, "--precompute"]) == 2
 
 
 class TestBatchCommand:
