@@ -10,14 +10,27 @@
   ``timed_reachability`` calls that each rebuild everything.  The
   values must agree bitwise: batching changes the cost of an analysis,
   never its outcome.
+* **Per-query cost of a serve-shaped mix** -- one ``QueryEngine``
+  answers a ``warm-serve``-shaped round one request at a time: FTWC
+  n = 4/8/16, 16 stratified log-uniform time bounds on [1, 2000] h per
+  n, each (objective, goal) pair equally often.  Every value must be
+  bitwise ``timed_reachability(...).value(initial)``.  The per-goal
+  solve time, the number of solver prepares (one per model and goal)
+  and the number of queries answered without a sweep (every
+  ``premium`` query: the all-up initial state is premium) go to the
+  ``BENCH_engine.json`` ledger.
 """
 
+import random
 import time
+from pathlib import Path
 
 import pytest
 
+from _ledger import append_run
 from repro.core.reachability import timed_reachability
 from repro.engine import ModelRegistry, Query, QueryEngine
+from repro.engine.registry import BuiltModel
 from repro.models import ftwc_direct
 
 SPEC = {"family": "ftwc", "n": 4}
@@ -81,4 +94,76 @@ def test_batched_sweep_vs_independent_calls(benchmark):
         f"\n{len(TIME_POINTS)}-point sweep: independent {independent_seconds:.3f} s, "
         f"batched {benchmark.stats.stats.mean:.3f} s "
         f"({independent_seconds / benchmark.stats.stats.mean:.1f}x)"
+    )
+
+
+MIX_SIZES = (4, 8, 16)
+MIX_STRATA = 16
+MIX_PAIRS = [(o, g) for o in ("max", "min") for g in ("no_premium", "premium")]
+
+
+def _serve_mix(seed: int = 901) -> list[Query]:
+    """One ``warm-serve``-shaped round: per n, one log-uniform draw on
+    [1, 2000] h per stratum, with the (objective, goal) pairs shuffled
+    over the strata in equal numbers."""
+    rng = random.Random(f"engine-serve-mix:{seed}")
+    queries = []
+    for n in MIX_SIZES:
+        pairs = MIX_PAIRS * (MIX_STRATA // len(MIX_PAIRS))
+        rng.shuffle(pairs)
+        for k, (objective, goal) in enumerate(pairs):
+            t = 2000.0 ** ((k + rng.random()) / MIX_STRATA)
+            queries.append(
+                Query(model={"family": "ftwc", "n": n}, t=t, objective=objective, goal=goal)
+            )
+    return queries
+
+
+def test_serve_mix_ledger(monkeypatch):
+    engine = QueryEngine()
+    for n in MIX_SIZES:  # built up front, like a server's set-up
+        engine.model({"family": "ftwc", "n": n})
+    prepares = []
+    real_prepare = BuiltModel.prepare
+
+    def counting_prepare(self, *args, **kwargs):
+        prepares.append(self.key)
+        return real_prepare(self, *args, **kwargs)
+
+    monkeypatch.setattr(BuiltModel, "prepare", counting_prepare)
+    queries = _serve_mix()
+    results = [engine.run([query]).results[0] for query in queries]
+
+    per_goal = {goal: {"queries": 0, "solve_seconds": 0.0} for goal in ("no_premium", "premium")}
+    trivial = 0
+    for query, result in zip(queries, results):
+        assert result.ok, result.error
+        built = engine.model(query.model)
+        reference = timed_reachability(
+            built.model, built.goal(query.goal), query.t, objective=query.objective
+        ).value(built.model.initial)
+        assert result.value.hex() == reference.hex()
+        per_goal[query.goal]["queries"] += 1
+        per_goal[query.goal]["solve_seconds"] += result.seconds
+        trivial += result.iterations == 0
+    assert len(prepares) == len(set(prepares)) * 2 == len(MIX_SIZES) * 2
+    assert trivial == per_goal["premium"]["queries"]
+
+    record = {
+        "workload": {"ns": list(MIX_SIZES), "strata": MIX_STRATA, "t_hours": [1.0, 2000.0]},
+        "queries": len(queries),
+        "prepares": len(prepares),
+        "trivial_queries": trivial,
+        **{
+            goal: {"queries": entry["queries"], "solve_seconds": round(entry["solve_seconds"], 6)}
+            for goal, entry in per_goal.items()
+        },
+    }
+    out = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+    append_run(out, "engine-serve-mix", record)
+    print(
+        f"\n{len(queries)} queries: no_premium "
+        f"{per_goal['no_premium']['solve_seconds']:.3f} s, premium "
+        f"{per_goal['premium']['solve_seconds'] * 1e3:.2f} ms, "
+        f"{len(prepares)} prepares, {trivial} answered without a sweep"
     )

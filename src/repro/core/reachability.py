@@ -39,6 +39,12 @@ transition -- are multiplied: the goal states share the scalar value
 rows are sliced out once per prepared model with their entries in
 stored order, so each step performs exactly the floating-point
 operations of the full-row recursion on the rows it keeps.
+
+A solver prepared for one start ``state`` narrows the active set to that
+state's *cone*: the non-goal states it reaches through non-goal states
+that can also reach the goal.  Every other non-goal successor of a cone
+state cannot reach the goal, so its value is an exact zero at every
+step, and the start state's value is bitwise that of the full sweep.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from repro.core.segments import (
     validate_objective,
 )
 from repro.errors import ConvergenceError, ModelError, NonUniformError
+from repro.graph.structure import TransitionGraph
 from repro.numerics.foxglynn import FoxGlynn, fox_glynn
 from repro.obs import NumericalCertificate, certificate_from_foxglynn, sweep_span
 
@@ -65,7 +72,7 @@ from repro.obs import NumericalCertificate, certificate_from_foxglynn, sweep_spa
 # solvers), so importing it here cannot cycle; the rest of repro.policy
 # *does* import this module and stays behind lazy attributes.
 from repro.policy.store import CompressedDecisions, PolicyWriter
-from repro.states import state_mask
+from repro.states import state_index, state_mask
 
 __all__ = [
     "ReachabilityResult",
@@ -83,7 +90,9 @@ class ReachabilityResult:
     Attributes
     ----------
     values:
-        Per-state probabilities; goal states carry probability one.
+        Per-state probabilities; goal states carry probability one.  A
+        solve prepared for one start state leaves every state outside
+        its cone, the goal and the start itself at NaN.
     iterations:
         Number of backward steps ``k`` (the paper's "# Iterations").
     uniform_rate:
@@ -118,8 +127,31 @@ class ReachabilityResult:
     certificate: NumericalCertificate | None = None
 
     def value(self, state: int) -> float:
-        """Probability from ``state``."""
-        return float(self.values[state])
+        """Probability from ``state``; ``ModelError`` if it was not computed."""
+        return _computed(self.values, state)
+
+
+def _computed(values: np.ndarray, state: int) -> float:
+    value = float(values[state])
+    if np.isnan(value):
+        raise ModelError(f"state {state} lies outside the cone this solve computed")
+    return value
+
+
+def _cone(
+    graph: TransitionGraph, state: int, goal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(blocked, unknown)`` of a solve that reads only ``state``: all
+    but its cone is blocked, and all but the cone, the goal and
+    ``state`` itself is left uncomputed."""
+    start = state_index(graph.num_states, state, "start state")
+    cone = np.zeros(graph.num_states, dtype=bool)
+    if not goal[start]:
+        forward = graph.reachable_from(start, through=~goal)
+        cone = graph.backward_reachable(goal, through=forward) & ~goal
+    unknown = ~(cone | goal)
+    unknown[start] = False
+    return ~cone, unknown
 
 
 @dataclass(frozen=True)
@@ -233,14 +265,25 @@ class PreparedTimedReachability:
     :func:`timed_reachability` delegates to this class, so prepared and
     one-shot solves are bitwise-identical.  Both objectives share the
     one active set.
+
+    With ``state`` only that state's cone is swept (see the module
+    notes); a start in the goal, or one that cannot reach it, needs no
+    sweep at all.
     """
 
-    def __init__(self, ctmdp: CTMDP, goal: Iterable[int] | np.ndarray) -> None:
+    def __init__(
+        self, ctmdp: CTMDP, goal: Iterable[int] | np.ndarray, state: int | None = None
+    ) -> None:
         self.ctmdp = ctmdp
         self.mask = state_mask(ctmdp.num_states, goal, "goal state")
         self.num_states = ctmdp.num_states
+        self.rate = 0.0
         self._ready = False
-        if not self.mask.any():
+        blocked: np.ndarray | None = None
+        self._unknown: np.ndarray | None = None
+        if state is not None:
+            blocked, self._unknown = _cone(TransitionGraph.from_ctmdp(ctmdp), state, self.mask)
+        if not self.mask.any() or (blocked is not None and blocked.all()):
             return
         rate = ctmdp.uniform_rate()  # raises NonUniformError when violated
         if rate <= 0.0:
@@ -249,12 +292,14 @@ class PreparedTimedReachability:
         self.prob = ctmdp.probability_matrix()  # T x S, row-stochastic
         self.prob_to_goal = self.prob @ self.mask.astype(np.float64)  # Pr_R(s, B)
         self._active = _ActiveSet.build(
-            self.prob, self.prob_to_goal, ctmdp.choice_ptr, self.mask
+            self.prob, self.prob_to_goal, ctmdp.choice_ptr, self.mask, blocked
         )
         self._ready = True
 
-    def _trivial_result(self, t: float, epsilon: float, objective: str) -> ReachabilityResult:
-        """The ``t = 0`` / empty-goal answer: the goal indicator itself.
+    def _trivial_result(
+        self, t: float, epsilon: float, objective: str, algorithm: str = "ctmdp.reachability"
+    ) -> ReachabilityResult:
+        """The ``t = 0`` / empty-goal / empty-cone answer: the goal indicator.
 
         Uniformity is irrelevant here (no time passes, or there is
         nothing to reach), so the model's rate is *not* recomputed --
@@ -264,11 +309,11 @@ class PreparedTimedReachability:
         return ReachabilityResult(
             values=self.mask.astype(np.float64),
             iterations=0,
-            uniform_rate=self.rate if self._ready else 0.0,
+            uniform_rate=self.rate,
             time_bound=t,
             objective=objective,
             poisson=fox_glynn(0.0, min(epsilon, 0.5)),
-            certificate=NumericalCertificate.trivial("ctmdp.reachability", epsilon),
+            certificate=NumericalCertificate.trivial(algorithm, epsilon),
         )
 
     def solve(
@@ -290,21 +335,24 @@ class PreparedTimedReachability:
             raise ModelError("time bound must be non-negative")
 
         if t == 0.0 or not self._ready:
-            return self._trivial_result(t, epsilon, objective)
-
-        return _sweep(
-            active=self._active,
-            num_states=self.num_states,
-            num_transitions=self.ctmdp.num_transitions,
-            goal=self.mask,
-            rate=self.rate,
-            t=t,
-            epsilon=epsilon,
-            objective=objective,
-            record_scheduler=record_scheduler,
-            span_name="reachability.sweep",
-            algorithm="ctmdp.reachability",
-        )
+            result = self._trivial_result(t, epsilon, objective)
+        else:
+            result = _sweep(
+                active=self._active,
+                num_states=self.num_states,
+                num_transitions=self.ctmdp.num_transitions,
+                goal=self.mask,
+                rate=self.rate,
+                t=t,
+                epsilon=epsilon,
+                objective=objective,
+                record_scheduler=record_scheduler,
+                span_name="reachability.sweep",
+                algorithm="ctmdp.reachability",
+            )
+        if self._unknown is not None:
+            result.values[self._unknown] = np.nan
+        return result
 
 
 def _sweep(
@@ -505,15 +553,7 @@ def replay_step_scheduler(
     if safe is not None:
         blocked = ~(state_mask(ctmdp.num_states, safe, "safe state") | prepared.mask)
     if t == 0.0 or not prepared._ready:
-        return ReachabilityResult(
-            values=prepared.mask.astype(np.float64),
-            iterations=0,
-            uniform_rate=prepared.rate if prepared._ready else 0.0,
-            time_bound=t,
-            objective="replay",
-            poisson=fox_glynn(0.0, min(epsilon, 0.5)),
-            certificate=NumericalCertificate.trivial("ctmdp.replay", epsilon),
-        )
+        return prepared._trivial_result(t, epsilon, "replay", "ctmdp.replay")
     if not isinstance(decisions, CompressedDecisions):
         decisions = np.asarray(decisions)
         if decisions.ndim != 2 or decisions.shape[1] != ctmdp.num_states:

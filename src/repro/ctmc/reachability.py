@@ -20,11 +20,13 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.reachability import _ActiveSet, _computed, _cone, _sweep
 from repro.ctmc.model import CTMC
 from repro.ctmc.uniformization import uniformized_jump_matrix
 from repro.errors import ModelError
+from repro.graph.structure import TransitionGraph
 from repro.numerics.foxglynn import fox_glynn
-from repro.obs import NumericalCertificate, certificate_from_foxglynn
+from repro.obs import NumericalCertificate
 from repro.states import state_index, state_mask
 
 __all__ = [
@@ -42,13 +44,18 @@ class CTMCReachabilityResult:
     """Timed-reachability probabilities plus their numerical-health certificate.
 
     ``values[s]`` is the probability from state ``s`` (one on goal
-    states); ``iterations`` is the number of backward steps, the
-    Fox-Glynn right truncation point (zero for trivial queries).
+    states, NaN where a one-state solve did not compute it);
+    ``iterations`` is the number of backward steps, the Fox-Glynn right
+    truncation point (zero for trivial queries).
     """
 
     values: np.ndarray
     certificate: NumericalCertificate
     iterations: int
+
+    def value(self, state: int) -> float:
+        """Probability from ``state``; ``ModelError`` if it was not computed."""
+        return _computed(self.values, state)
 
 
 def timed_reachability(
@@ -97,7 +104,10 @@ class PreparedCTMCReachability:
     Making the goal absorbing and uniformizing the modified chain do not
     depend on the time bound; this class performs them once so a whole
     time sweep shares the setup.  :func:`timed_reachability` delegates
-    here, keeping prepared and one-shot solves bitwise-identical.
+    here, keeping prepared and one-shot solves bitwise-identical.  The
+    backward steps are Algorithm 1's active-set sweep over the jump
+    matrix, one row per state; ``state`` narrows it to that state's
+    cone, as in :class:`~repro.core.reachability.PreparedTimedReachability`.
     """
 
     def __init__(
@@ -105,25 +115,28 @@ class PreparedCTMCReachability:
         ctmc: CTMC,
         goal: Iterable[int] | np.ndarray,
         rate: float | None = None,
+        state: int | None = None,
     ) -> None:
         mask = state_mask(ctmc.num_states, goal, "goal state")
         self.ctmc = ctmc
         self.mask = mask
         self.num_states = ctmc.num_states
         self._ready = False
-        if not mask.any():
+        blocked: np.ndarray | None = None
+        self._unknown: np.ndarray | None = None
+        if state is not None:
+            blocked, self._unknown = _cone(TransitionGraph.from_ctmc(ctmc), state, mask)
+        if not mask.any() or (blocked is not None and blocked.all()):
             return
 
-        # Make goal states absorbing: zero their rows before uniformizing.
-        rates = ctmc.rates.tolil(copy=True)
-        for state in np.where(mask)[0]:
-            rates.rows[state] = []
-            rates.data[state] = []
-        absorbed = CTMC(rates=sp.csr_matrix(rates), initial=ctmc.initial)
-
-        self.p, self.e = uniformized_jump_matrix(absorbed, rate)
-        goal_vec = mask.astype(np.float64)
-        self.p_goal = self.p @ goal_vec
+        self.p, self.e = uniformized_jump_matrix(_absorbing(ctmc, mask), rate)
+        self._active = _ActiveSet.build(
+            self.p,
+            self.p @ mask.astype(np.float64),
+            np.arange(self.num_states + 1),
+            mask,
+            blocked,
+        )
         self._ready = True
 
     def solve(self, t: float, epsilon: float = 1e-10) -> CTMCReachabilityResult:
@@ -131,39 +144,39 @@ class PreparedCTMCReachability:
         if t < 0.0:
             raise ModelError("time bound must be non-negative")
         if t == 0.0 or not self._ready:
-            return CTMCReachabilityResult(
-                values=self.mask.astype(np.float64),
-                certificate=NumericalCertificate.trivial("ctmc.reachability", epsilon),
-                iterations=0,
+            values = self.mask.astype(np.float64)
+            certificate = NumericalCertificate.trivial("ctmc.reachability", epsilon)
+            iterations = 0
+        else:
+            # Algorithm 1 without a choice: every state has one row, so
+            # the objective never selects anything.
+            sweep = _sweep(
+                active=self._active,
+                num_states=self.num_states,
+                num_transitions=self.num_states,
+                goal=self.mask,
+                rate=self.e,
+                t=t,
+                epsilon=epsilon,
+                objective="max",
+                record_scheduler=False,
+                span_name="ctmc.sweep",
+                algorithm="ctmc.reachability",
             )
+            values, iterations = sweep.values, sweep.iterations
+            certificate = sweep.certificate
+        if self._unknown is not None:
+            values[self._unknown] = np.nan
+        return CTMCReachabilityResult(values, certificate, iterations)
 
-        mask = self.mask
-        p = self.p
-        fg = fox_glynn(self.e * t, epsilon)
-        psi = fg.probabilities()
 
-        # q accumulates, backwards over i = right..1, the probability to be
-        # absorbed in B within the remaining jumps (cf. Algorithm 1 without
-        # the max over transitions).
-        q = np.zeros(self.num_states)
-        p_goal = self.p_goal
-        for i in range(fg.right, 0, -1):
-            psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-            q_next = q
-            q = psi_i * p_goal + p @ q_next
-            # Goal states accumulate the remaining Poisson mass and are never
-            # left (their rows in p are pure self-loops, but the explicit
-            # update keeps the recursion exact also at i = right).
-            q[mask] = psi_i + q_next[mask]
-        q[mask] = 1.0
-        residual = max(0.0, float(q.max()) - 1.0, -float(q.min()))
-        return CTMCReachabilityResult(
-            values=np.clip(q, 0.0, 1.0),
-            certificate=certificate_from_foxglynn(
-                fg, epsilon, "ctmc.reachability", sweep_residual=residual
-            ),
-            iterations=fg.right,
-        )
+def _absorbing(ctmc: CTMC, states: np.ndarray) -> CTMC:
+    """``ctmc`` with every transition out of ``states`` removed."""
+    rates = ctmc.rates.tolil(copy=True)
+    for state in np.flatnonzero(states):
+        rates.rows[state] = []
+        rates.data[state] = []
+    return CTMC(rates=sp.csr_matrix(rates), initial=ctmc.initial)
 
 
 def timed_reachability_curve(
@@ -196,12 +209,7 @@ def timed_reachability_curve(
     if not mask.any() or not ts:
         return np.zeros(len(ts))
 
-    rates = ctmc.rates.tolil(copy=True)
-    for state in np.where(mask)[0]:
-        rates.rows[state] = []
-        rates.data[state] = []
-    absorbed = CTMC(rates=sp.csr_matrix(rates), initial=start)
-    p, e = uniformized_jump_matrix(absorbed, rate)
+    p, e = uniformized_jump_matrix(_absorbing(ctmc, mask), rate)
 
     horizon = fox_glynn(e * max(ts), epsilon).right
     masses = np.empty(horizon + 1)

@@ -12,10 +12,13 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import CTMCReachabilityResult, PreparedCTMCReachability
+from repro.ctmc.reachability import (
+    CTMCReachabilityResult,
+    PreparedCTMCReachability,
+    _absorbing,
+)
 from repro.states import state_mask
 
 __all__ = ["timed_until"]
@@ -34,11 +37,7 @@ def timed_until(
     blocked = ~(state_mask(n, safe, "safe state") | goal_arr)
 
     # Make blocked states absorbing, then run plain timed reachability.
-    rates = ctmc.rates.tolil(copy=True)
-    for state in np.flatnonzero(blocked):
-        rates.rows[state] = []
-        rates.data[state] = []
-    pruned = CTMC(rates=sp.csr_matrix(rates), initial=ctmc.initial)
+    pruned = _absorbing(ctmc, blocked)
     result = PreparedCTMCReachability(pruned, goal_arr).solve(t, epsilon=epsilon)
     result.values[blocked] = 0.0  # a fresh array owned by this result
     return result

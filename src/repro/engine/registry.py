@@ -33,7 +33,9 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
+from repro.core.reachability import PreparedTimedReachability
 from repro.ctmc.model import CTMC
+from repro.ctmc.reachability import PreparedCTMCReachability
 from repro.engine.keys import canonical_json, model_key, normalize_spec
 from repro.engine.metrics import EngineMetrics
 from repro.errors import ModelError
@@ -89,6 +91,9 @@ class BuiltModel:
     source:
         Where this lookup was answered from: ``"build"``, ``"memory"``
         or ``"disk"``.
+
+    The entry also keeps one solver per goal label (:meth:`solver`) in
+    memory; solvers never go to disk.
     """
 
     key: str
@@ -99,6 +104,7 @@ class BuiltModel:
     labels: dict[str, np.ndarray] = field(default_factory=dict)
     stats: dict[str, Any] = field(default_factory=dict)
     source: str = "build"
+    _solvers: dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def goal(self, label: str) -> np.ndarray:
         """The boolean mask of goal label ``label``."""
@@ -107,6 +113,30 @@ class BuiltModel:
         except KeyError:
             known = ", ".join(sorted(self.labels)) or "<none>"
             raise ModelError(f"unknown goal label {label!r}; known labels: {known}") from None
+
+    def prepare(
+        self, label: str, metrics: EngineMetrics, state: int | None = None
+    ) -> PreparedTimedReachability | PreparedCTMCReachability:
+        """A fresh solver for goal ``label``: every state, or ``state``'s cone."""
+        goal = self.goal(label)
+        with metrics.timer("prepare_seconds"), span(
+            "solver.prepare", kind=self.kind, states=self.model.num_states
+        ):
+            if isinstance(self.model, CTMDP):
+                return PreparedTimedReachability(self.model, goal, state=state)
+            return PreparedCTMCReachability(self.model, goal, state=state)
+
+    def solver(
+        self, label: str, metrics: EngineMetrics
+    ) -> PreparedTimedReachability | PreparedCTMCReachability:
+        """The solver for goal ``label`` from the initial state, prepared on
+        first use and kept.  Two threads racing on a first use prepare
+        identical solvers; the last one is kept, as for duplicate builds."""
+        solver = self._solvers.get(label)
+        if solver is None:
+            solver = self.prepare(label, metrics, state=self.model.initial)
+            self._solvers[label] = solver
+        return solver
 
 
 class ModelRegistry:

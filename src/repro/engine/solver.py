@@ -4,11 +4,12 @@
 records.  The batch is planned (grouped by shared ``(model, goal,
 objective)`` setup, each group sorted by time bound), every group's
 model is resolved through the registry (so repeated batches skip
-construction entirely), and each group is answered against one prepared
-solver: a single transition-matrix/goal-mask setup, one Fox-Glynn
-computation per time bound.  Prepared solves are bitwise-identical to
-independent :func:`repro.core.reachability.timed_reachability` calls --
-batching changes the cost, never the answer.
+construction entirely), and each group is answered against the solver
+the registry entry keeps for its goal label: prepared once, it sweeps
+only the cone of the model's initial state, and each query adds one
+Fox-Glynn computation for its time bound.  Answers are bitwise-identical
+to independent :func:`repro.core.reachability.timed_reachability` calls
+-- batching changes the cost, never the answer.
 
 Failure isolation: a query that raises (unknown goal label, numerical
 failure, per-query timeout) produces an *error record*; the rest of the
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.reachability import PreparedTimedReachability
-from repro.ctmc.reachability import PreparedCTMCReachability
 from repro.engine.metrics import EngineMetrics
 from repro.engine.plan import Query, QueryGroup, plan_queries, query_from_dict
 from repro.engine.registry import BuiltModel, ModelRegistry
@@ -219,7 +219,12 @@ def _solve_group(
     group: QueryGroup,
     timeout: float | None,
 ) -> list[QueryResult]:
-    """Answer one group against a single prepared solver."""
+    """Answer one group against a single prepared solver.
+
+    A group recording schedulers prepares a full solver of its own (a
+    recorded policy has decisions for every state); every other group
+    reuses the registry entry's solver for the initial state's cone.
+    """
     metrics = registry.metrics
     try:
         built = registry.get(group.spec)
@@ -231,15 +236,10 @@ def _solve_group(
             with metrics.timer("sanitize_seconds"):
                 sanitize_model(built.model, goal=goal, where="solver-prepare")
             metrics.count("sanitize_checks")
-        with metrics.timer("prepare_seconds"), span(
-            "solver.prepare", kind=built.kind, states=built.model.num_states
-        ):
-            if built.kind == "ctmdp":
-                prepared: PreparedTimedReachability | PreparedCTMCReachability = (
-                    PreparedTimedReachability(built.model, goal)
-                )
-            else:
-                prepared = PreparedCTMCReachability(built.model, goal)
+        if group.record_schedulers:
+            prepared = built.prepare(group.goal, metrics)
+        else:
+            prepared = built.solver(group.goal, metrics)
     except Exception as exc:
         return _error_results(group, f"{type(exc).__name__}: {exc}", cache=built.source)
 
@@ -251,7 +251,7 @@ def _solve_group(
             with _time_limit(timeout), span(
                 "solver.solve", t=query.t, objective=group.objective, kind=built.kind
             ):
-                if built.kind == "ctmdp":
+                if isinstance(prepared, PreparedTimedReachability):
                     outcome = prepared.solve(
                         query.t,
                         query.epsilon,
@@ -261,13 +261,13 @@ def _solve_group(
                     value = outcome.value(built.model.initial)
                     iterations = outcome.iterations
                     certificate = outcome.certificate
-                    if group.record_schedulers and outcome.decisions is not None:
+                    if outcome.decisions is not None:
                         policy = _policy_from_outcome(
                             group, query, built, value, outcome, metrics
                         )
                 else:
                     reach = prepared.solve(query.t, query.epsilon)
-                    value = float(reach.values[built.model.initial])
+                    value = reach.value(built.model.initial)
                     iterations = reach.iterations
                     certificate = reach.certificate
             seconds = time.perf_counter() - started

@@ -122,21 +122,18 @@ class TransitionGraph:
         """Transpose of :attr:`union_adjacency` (predecessor lookups)."""
         return sp.csr_matrix(self.union_adjacency.T)
 
-    def reachable_from(self, start: int | None = None) -> np.ndarray:
-        """Forward-reachable set (boolean mask) from ``start`` (default initial)."""
-        adjacency = self.union_adjacency
-        seen = np.zeros(self.num_states, dtype=bool)
-        origin = self.initial if start is None else int(start)
-        seen[origin] = True
-        stack = [origin]
-        indptr, indices = adjacency.indptr, adjacency.indices
-        while stack:
-            state = stack.pop()
-            for target in indices[indptr[state]: indptr[state + 1]]:
-                if not seen[target]:
-                    seen[target] = True
-                    stack.append(int(target))
-        return seen
+    def reachable_from(
+        self, start: int | None = None, through: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Forward-reachable set (boolean mask) from ``start`` (default initial).
+
+        ``through`` restricts the states that may be added: a state
+        outside ``through`` (other than ``start``) is never reached, so
+        nothing beyond it is expanded either.
+        """
+        reached = np.zeros(self.num_states, dtype=bool)
+        reached[self.initial if start is None else int(start)] = True
+        return _expand(self.union_adjacency, reached, through)
 
     def backward_reachable(
         self, targets: np.ndarray, through: np.ndarray | None = None
@@ -147,20 +144,8 @@ class TransitionGraph:
         expanded: a state outside ``through`` (and outside ``targets``)
         is never added to the reached set.
         """
-        reverse = self.reverse_adjacency
         reached = np.asarray(targets, dtype=bool).copy()
-        stack = list(np.flatnonzero(reached))
-        indptr, indices = reverse.indptr, reverse.indices
-        while stack:
-            state = stack.pop()
-            for pred in indices[indptr[state]: indptr[state + 1]]:
-                if reached[pred]:
-                    continue
-                if through is not None and not through[pred]:
-                    continue
-                reached[pred] = True
-                stack.append(int(pred))
-        return reached
+        return _expand(self.reverse_adjacency, reached, through)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -246,6 +231,27 @@ class TransitionGraph:
             initial=imc.initial,
             kind="imc",
         )
+
+
+def _expand(
+    adjacency: sp.csr_matrix, reached: np.ndarray, through: np.ndarray | None
+) -> np.ndarray:
+    """Close ``reached`` (in place) under the edges of ``adjacency``, one
+    vectorised gather of the last level's successors per loop round."""
+    indptr, indices = adjacency.indptr, adjacency.indices
+    allowed = None if through is None else np.asarray(through, dtype=bool)
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        successors = indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
+        successors = successors[~reached[successors]]
+        if allowed is not None:
+            successors = successors[allowed[successors]]
+        reached[successors] = True
+        frontier = np.unique(successors)
+    return reached
 
 
 def _boolean_csr(matrix: sp.spmatrix) -> sp.csr_matrix:

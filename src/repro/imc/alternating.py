@@ -331,7 +331,7 @@ def strictly_alternating(imc: IMC, max_words_per_state: int = 1_000_000) -> Alte
     input, so predicates written against the caller's IMC keep working.
     """
     order = imc.reachable_states(closed=True)
-    pruned = imc.restricted_to_reachable(closed=True)
+    pruned = imc.restricted_to(order)
     alternating = make_alternating(pruned)
     markov_alt, fresh_targets = make_markov_alternating(alternating)
     result = make_interactive_alternating(

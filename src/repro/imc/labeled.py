@@ -121,7 +121,7 @@ class LabeledIMC:
             if len(order) == self.imc.num_states:
                 return self
             return LabeledIMC(
-                imc=self.imc.restricted_to_reachable(),
+                imc=self.imc.restricted_to(order),
                 observations=[self.observations[s] for s in order],
             )
 

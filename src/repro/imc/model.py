@@ -292,7 +292,11 @@ class IMC:
     # ------------------------------------------------------------------
     def restricted_to_reachable(self, closed: bool = False) -> "IMC":
         """Prune unreachable states, renumbering the survivors."""
-        order = self.reachable_states(closed=closed)
+        return self.restricted_to(self.reachable_states(closed=closed))
+
+    def restricted_to(self, order: list[int]) -> "IMC":
+        """Keep the states of ``order`` (which must hold the initial
+        state), renumbered by their position in it."""
         index = {state: i for i, state in enumerate(order)}
         keep = set(order)
         names = None

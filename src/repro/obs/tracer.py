@@ -518,8 +518,8 @@ def _sweep_span_enabled(tracer: Tracer, name: str, attributes: dict[str, Any]) -
 def sweep_span(name: str, **attributes: Any) -> ContextManager[StepRecorder]:
     """Instrument one backward sweep: a span plus a per-step recorder.
 
-    The single helper behind the ``reachability.sweep``, ``until.sweep``
-    and ``vi.sweep`` instrumentation: it opens the span, hands the loop
+    The single helper behind the ``reachability.sweep``, ``until.sweep``,
+    ``ctmc.sweep`` and ``vi.sweep`` instrumentation: it opens the span, hands the loop
     a :class:`StepRecorder`, attaches the :func:`summarize_durations`
     step summary on exit, and -- like every span -- closes with an
     ``error`` status when the sweep raises.  Disabled cost is one global

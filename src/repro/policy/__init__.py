@@ -21,14 +21,14 @@ something an engineering pipeline can keep:
 * :mod:`repro.policy.cli` -- the ``repro policy`` tool
   (inspect/summary/diff/replay/export).
 
-Only the store is imported eagerly: the core solvers import it on their
-hot path, and everything else here depends on the core solvers -- the
-lazy ``__getattr__`` below keeps that cycle open.
+Every public name is loaded on first use by the ``__getattr__`` below:
+the artifact and validation modules depend on the core solvers (which
+import the store), and the CLI builds its parser from
+:mod:`repro.policy.options` and :mod:`repro.policy.cli` without loading
+numpy.
 """
 
 from __future__ import annotations
-
-from repro.policy.store import DEFAULT_CHUNK_SIZE, CompressedDecisions, PolicyWriter
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _LAZY = {
+    "DEFAULT_CHUNK_SIZE": "repro.policy.store",
+    "CompressedDecisions": "repro.policy.store",
+    "PolicyWriter": "repro.policy.store",
     "PolicyArtifact": "repro.policy.artifact",
     "load_artifact": "repro.policy.artifact",
     "policy_key": "repro.policy.artifact",

@@ -25,12 +25,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
-from repro.policy.artifact import PolicyArtifact, load_artifact
+
+if TYPE_CHECKING:  # pragma: no cover - the artifact module loads numpy
+    from repro.policy.artifact import PolicyArtifact
 
 __all__ = ["add_policy_parser", "cmd_policy"]
 
@@ -142,6 +142,8 @@ def _load(args: argparse.Namespace, target: str) -> PolicyArtifact:
     A key may be abbreviated to any prefix that matches exactly one
     stored policy.
     """
+    from repro.policy.artifact import load_artifact
+
     path = Path(target)
     if path.is_file():
         return load_artifact(path)
@@ -207,6 +209,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    import numpy as np
+
     left = _load(args, args.left)
     right = _load(args, args.right)
     if left.key == right.key:

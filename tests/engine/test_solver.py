@@ -19,6 +19,7 @@ from repro.engine import (
     run_batch_dicts,
 )
 from repro.models import ftwc_direct
+from repro.obs import NumericalCertificate, tracing
 
 SPEC1 = {"family": "ftwc", "n": 1}
 SPEC2 = {"family": "ftwc", "n": 2}
@@ -70,6 +71,76 @@ class TestBitwiseEquality:
             )
             assert result.value == reference.value(model.ctmdp.initial)
             assert result.iterations == reference.iterations
+
+
+class TestInitialStateCone:
+    """The engine reads the initial state only and sweeps only its cone."""
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_premium_start_is_answered_without_a_sweep(self, objective):
+        # The all-up initial state is itself premium.
+        batch = run_batch(
+            [Query(model=SPEC2, t=t, objective=objective, goal="premium") for t in TIME_SWEEP]
+        )
+        for result in batch.results:
+            assert result.value == 1.0
+            assert result.iterations == 0
+            assert result.certificate == NumericalCertificate.trivial(
+                "ctmdp.reachability", 1e-6
+            )
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_no_premium_matches_the_full_sweep(self, objective):
+        batch = run_batch(
+            [Query(model=SPEC2, t=t, objective=objective) for t in TIME_SWEEP]
+        )
+        model = ftwc_direct.build_ctmdp(2)
+        for t, result in zip(TIME_SWEEP, batch.results):
+            reference = timed_reachability(
+                model.ctmdp, model.goal_mask, t, objective=objective
+            )
+            assert result.value == reference.value(model.ctmdp.initial)
+            assert result.iterations == reference.iterations
+            assert result.certificate == reference.certificate
+
+    def test_ctmc_path(self):
+        spec = {"family": "ftwc-ctmc", "n": 2}
+        batch = run_batch(
+            [Query(model=spec, t=t, goal=goal) for goal in ("no_premium", "premium")
+             for t in (10.0, 100.0)]
+        )
+        chain, _configs, goal = ftwc_direct.build_ctmc(2)
+        for t, result in zip((10.0, 100.0), batch.results[:2]):
+            reference = ctmc_reachability.timed_reachability(chain, goal, t, epsilon=1e-6)
+            assert result.value == float(reference.values[chain.initial])
+            assert result.iterations == reference.iterations
+            assert result.certificate == reference.certificate
+        for result in batch.results[2:]:
+            assert (result.value, result.iterations) == (1.0, 0)
+
+    def test_one_prepare_per_model_and_goal(self):
+        engine = QueryEngine()
+        with tracing() as tracer:
+            for t in (10.0, 20.0, 50.0, 100.0):
+                engine.run([Query(model=SPEC1, t=t)])
+            assert sum(s.name == "solver.prepare" for s in tracer.spans) == 1
+            engine.run([Query(model=SPEC1, t=10.0, goal="premium")])
+            engine.run([Query(model=SPEC1, t=10.0, objective="min")])
+        assert sum(s.name == "solver.prepare" for s in tracer.spans) == 2
+
+    def test_recording_keeps_the_full_sweep(self):
+        """A recorded policy decides at every state, even where the
+        initial state's answer needs no sweep."""
+        batch = run_batch(
+            [Query(model=SPEC1, t=50.0, goal="premium")], record_schedulers=True
+        )
+        result = batch.results[0]
+        assert (result.value, result.iterations) == (1.0, 171)
+        assert result.policy.decisions.shape == (171, 111)
+        # The key the all-states recording has always produced.
+        assert result.policy.key == (
+            "055a994ee8b849c68fe2bc4f778155bd1cb5162e1ea73c99ba363f4d6517f38e"
+        )
 
 
 class TestBatchBehaviour:

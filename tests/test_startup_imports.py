@@ -33,7 +33,7 @@ for name in sys.argv[1:]:
 print(json.dumps({"modules": sorted(sys.modules)}))
 """
 
-#: Child: run ``repro.cli.main(argv)``, print its exit code, parsed
+#: Child: run ``repro.cli.main(argv)``, print its exit code, captured
 #: output and the loaded module set.
 CLI_CHILD = """
 import contextlib, io, json, sys
@@ -41,9 +41,7 @@ import repro.cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = repro.cli.main(sys.argv[1:])
-print(json.dumps({
-    "code": code, "output": json.loads(out.getvalue()), "modules": sorted(sys.modules)
-}))
+print(json.dumps({"code": code, "output": out.getvalue(), "modules": sorted(sys.modules)}))
 """
 
 
@@ -76,6 +74,14 @@ def test_import_cli_loads_no_numpy_or_scipy():
     assert loaded(modules, "scipy") == []
 
 
+def test_version_loads_no_numpy():
+    """Building the parser must not load numpy for a command that never uses it."""
+    child = run_child(CLI_CHILD, "--version")
+    assert child["code"] == 0
+    assert child["output"].startswith("repro ")
+    assert loaded(child["modules"], "numpy") == []
+
+
 def test_batch_loads_no_heavy_module_on_build_and_disk_hit(tmp_path):
     queries = tmp_path / "queries.json"
     queries.write_text(
@@ -86,7 +92,7 @@ def test_batch_loads_no_heavy_module_on_build_and_disk_hit(tmp_path):
     for expected_cache in ("build", "disk"):
         child = run_child(CLI_CHILD, *argv)
         assert child["code"] == 0
-        (result,) = child["output"]["results"]
+        (result,) = json.loads(child["output"])["results"]
         assert result["cache"] == expected_cache
         for name in HEAVY_FOR_BATCH:
             assert loaded(child["modules"], name) == [], (expected_cache, name)
