@@ -1,9 +1,11 @@
-"""Benchmark: the analysis engine's two wins.
+"""Benchmark: the analysis engine's disk cache, batching and per-query cost.
 
-* **Registry, cold vs warm** -- building the FTWC uCTMDP for N=4 from
-  scratch versus loading it from the engine's disk cache.  The warm
-  path must skip construction entirely (``models_built`` absent from
-  the counters) and still yield a bitwise-identical analysis.
+* **The ``.tra`` round trip of the disk cache** -- the FTWC uCTMDP for
+  N=4 and N=32 is written with ``write_ctmdp_tra`` and read back with
+  ``read_ctmdp_tra`` (best of 3), as a registry disk miss and disk hit
+  do.  The read model must be bitwise the built one.  Write and read
+  times and the file size go to the ``BENCH_engine.json`` ledger under
+  ``kind: "tra-io"``.
 * **Batched sweep vs independent calls** -- the 11-point Figure 4 time
   sweep answered through one engine batch (one build, one prepared
   solver, one Fox-Glynn per bound) versus 11 independent
@@ -29,38 +31,43 @@ import pytest
 
 from _ledger import append_run
 from repro.core.reachability import timed_reachability
-from repro.engine import ModelRegistry, Query, QueryEngine
+from repro.engine import Query, QueryEngine
 from repro.engine.registry import BuiltModel
+from repro.io.tra import read_ctmdp_tra, write_ctmdp_tra
 from repro.models import ftwc_direct
+from tests.oracles.tra import assert_same_model
 
 SPEC = {"family": "ftwc", "n": 4}
+TRA_IO_SIZES = (4, 32)
 TIME_POINTS = tuple(float(t) for t in range(0, 501, 50))  # 11 points
 
 
-def test_registry_cold_vs_warm(benchmark, tmp_path):
-    cold_registry = ModelRegistry(cache_dir=tmp_path)
-    started = time.perf_counter()
-    cold = cold_registry.get(SPEC)
-    cold_seconds = time.perf_counter() - started
-    assert cold.source == "build"
-
-    def warm_lookup():
-        return ModelRegistry(cache_dir=tmp_path).get(SPEC)
-
-    warm = benchmark(warm_lookup)
-    assert warm.source == "disk"
-
-    reference = timed_reachability(cold.model, cold.goal_mask, 100.0)
-    reloaded = timed_reachability(warm.model, warm.goal_mask, 100.0)
-    assert reference.value(cold.model.initial) == reloaded.value(warm.model.initial)
-
-    benchmark.extra_info["cold_build_seconds"] = cold_seconds
-    benchmark.extra_info["states"] = cold.stats["states"]
-    print(
-        f"\ncold build {cold_seconds:.3f} s vs warm disk load "
-        f"{benchmark.stats.stats.mean:.3f} s "
-        f"({cold.stats['states']} states)"
-    )
+def test_tra_io_ledger(tmp_path):
+    record = {"kind": "tra-io"}
+    for n in TRA_IO_SIZES:
+        built = ftwc_direct.build_ctmdp(n).ctmdp
+        path = tmp_path / f"ftwc{n}.tra"
+        started = time.perf_counter()
+        write_ctmdp_tra(built, path)
+        write_seconds = time.perf_counter() - started
+        read_seconds = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            read = read_ctmdp_tra(path)
+            read_seconds = min(read_seconds, time.perf_counter() - started)
+        assert_same_model(read, built)
+        record[f"n{n}"] = {
+            "states": built.num_states,
+            "bytes": path.stat().st_size,
+            "write_seconds": round(write_seconds, 6),
+            "read_seconds": round(read_seconds, 6),
+        }
+        print(
+            f"\nftwc N={n}: {path.stat().st_size / 1e6:.1f} MB, write "
+            f"{write_seconds:.3f} s, read {read_seconds:.3f} s (best of 3)"
+        )
+    out = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+    append_run(out, "engine-serve-mix", record)
 
 
 def test_batched_sweep_vs_independent_calls(benchmark):

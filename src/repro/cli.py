@@ -626,14 +626,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else:
             path = Path(target)
             if path.suffix == ".tra":
-                from repro.io.tra import read_ctmc_tra, read_ctmdp_tra, scan_tra
+                from repro.io.tra import model_from_scan, scan_tra
 
-                scan = scan_tra(path)
-                model = (
-                    read_ctmc_tra(path)
-                    if scan.kind == "ctmc"
-                    else read_ctmdp_tra(path)
-                )
+                model = model_from_scan(scan_tra(path))
             elif path.suffix == ".json":
                 from repro.io.json_io import load_model
 

@@ -98,7 +98,7 @@ class ReachabilityResult:
     uniform_rate:
         The uniform rate ``E`` of the analysed model, or ``0.0`` when
         the analysis never needed it (``t = 0`` on an unprepared solver,
-        empty goal set).
+        empty goal set, no transition outside the goal).
     time_bound:
         The analysed time bound ``t``.
     objective:
@@ -152,6 +152,19 @@ def _cone(
     unknown = ~(cone | goal)
     unknown[start] = False
     return ~cone, unknown
+
+
+def _moves(
+    has_transitions: np.ndarray, goal: np.ndarray, blocked: np.ndarray | None
+) -> bool:
+    """Whether a sweep has anything to do: a nonempty goal and a state
+    outside the goal and ``blocked`` with a transition.  Otherwise the
+    goal and the blocked states are absorbing, nothing else moves, and
+    the goal indicator is the answer whatever the rates."""
+    movable = has_transitions & ~goal
+    if blocked is not None:
+        movable &= ~blocked
+    return bool(goal.any() and movable.any())
 
 
 @dataclass(frozen=True)
@@ -268,7 +281,8 @@ class PreparedTimedReachability:
 
     With ``state`` only that state's cone is swept (see the module
     notes); a start in the goal, or one that cannot reach it, needs no
-    sweep at all.
+    sweep at all, and neither does a model in which no state outside
+    the goal has a transition.
     """
 
     def __init__(
@@ -283,7 +297,7 @@ class PreparedTimedReachability:
         self._unknown: np.ndarray | None = None
         if state is not None:
             blocked, self._unknown = _cone(TransitionGraph.from_ctmdp(ctmdp), state, self.mask)
-        if not self.mask.any() or (blocked is not None and blocked.all()):
+        if not _moves(np.diff(ctmdp.choice_ptr) > 0, self.mask, blocked):
             return
         rate = ctmdp.uniform_rate()  # raises NonUniformError when violated
         if rate <= 0.0:
@@ -299,7 +313,9 @@ class PreparedTimedReachability:
     def _trivial_result(
         self, t: float, epsilon: float, objective: str, algorithm: str = "ctmdp.reachability"
     ) -> ReachabilityResult:
-        """The ``t = 0`` / empty-goal / empty-cone answer: the goal indicator.
+        """The answer of ``t = 0`` or of a model where nothing moves (empty
+        goal, empty cone, no transition outside the goal): the goal
+        indicator.
 
         Uniformity is irrelevant here (no time passes, or there is
         nothing to reach), so the model's rate is *not* recomputed --

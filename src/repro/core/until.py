@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.reachability import ReachabilityResult, _ActiveSet, _sweep
+from repro.core.reachability import ReachabilityResult, _ActiveSet, _moves, _sweep
 from repro.core.segments import validate_objective
 from repro.errors import ModelError, NonUniformError
 from repro.numerics.foxglynn import fox_glynn
@@ -79,11 +79,12 @@ def timed_until(
     safe_mask = state_mask(ctmdp.num_states, safe, "safe state")
     blocked = ~(safe_mask | goal_mask)
 
-    if t == 0.0 or not goal_mask.any():
-        # Trivially answerable: no time passes or nothing to reach.  The
-        # answer does not depend on uniformity, so the rate is only
-        # reported when the model actually is uniform -- querying a
-        # degenerate property on a non-uniform model must not raise.
+    if t == 0.0 or not _moves(np.diff(ctmdp.choice_ptr) > 0, goal_mask, blocked):
+        # Trivially answerable: no time passes, or nothing outside the
+        # goal and the blocked states moves.  The answer does not depend
+        # on uniformity, so the rate is only reported when the model
+        # actually is uniform -- querying a degenerate property on a
+        # non-uniform model must not raise.
         values = goal_mask.astype(np.float64)
         dummy = fox_glynn(0.0, min(epsilon, 0.5))
         has_rate = bool(ctmdp.num_transitions) and ctmdp.is_uniform()

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.reachability import _ActiveSet, _computed, _cone, _sweep
+from repro.core.reachability import _ActiveSet, _computed, _cone, _moves, _sweep
 from repro.ctmc.model import CTMC
 from repro.ctmc.uniformization import uniformized_jump_matrix
 from repro.errors import ModelError
@@ -126,7 +126,7 @@ class PreparedCTMCReachability:
         self._unknown: np.ndarray | None = None
         if state is not None:
             blocked, self._unknown = _cone(TransitionGraph.from_ctmc(ctmc), state, mask)
-        if not mask.any() or (blocked is not None and blocked.all()):
+        if not _moves(np.diff(ctmc.rates.indptr) > 0, mask, blocked):
             return
 
         self.p, self.e = uniformized_jump_matrix(_absorbing(ctmc, mask), rate)

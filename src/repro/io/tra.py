@@ -7,16 +7,27 @@ and a natural extension for CTMDPs (one line per rate entry, carrying
 the transition index and action label), plus the companion ``.lab``
 format mapping states to atomic propositions.  Round-tripping through
 these files is covered by the test suite.
+
+The body of a ``.tra`` file is parsed by one ``numpy.loadtxt`` call into
+a structured array, one record per line, and the readers validate those
+columns and build the model's CSR arrays directly.  Fields are separated
+by whitespace; blank lines are skipped and nothing is a comment (an
+action may contain ``#``).  State and row indices are decimal integers
+with an optional sign, above ``-2**63`` and below ``2**63``; rates are
+anything ``float()`` reads (``1.5``, ``2e-3``, ``inf``, ``nan``, ...),
+except that neither accepts ``_`` digit separators.
 """
 
 from __future__ import annotations
 
-import math
+import threading
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.ctmdp import CTMDP
 from repro.ctmc.model import CTMC
@@ -25,6 +36,7 @@ from repro.errors import ModelError
 __all__ = [
     "TraScan",
     "scan_tra",
+    "model_from_scan",
     "write_ctmc_tra",
     "read_ctmc_tra",
     "write_ctmdp_tra",
@@ -33,8 +45,32 @@ __all__ = [
     "read_labels",
 ]
 
+#: One CTMC body line ``src dst rate``, indices 0-based.
+_CTMC_ENTRY = np.dtype([("source", np.int64), ("target", np.int64), ("rate", np.float64)])
 
-@dataclass(frozen=True)
+#: One CTMDP body line ``row action src dst rate``, indices 0-based.
+_CTMDP_ENTRY = np.dtype(
+    [
+        ("row", np.int64),
+        ("action", object),
+        ("source", np.int64),
+        ("target", np.int64),
+        ("rate", np.float64),
+    ]
+)
+
+_LINE_SHAPE = {_CTMC_ENTRY: "src dst rate", _CTMDP_ENTRY: "row action src dst rate"}
+
+#: The one int64 that made 0-based would wrap around; indices lie above it.
+_LOWEST_INDEX = int(np.iinfo(np.int64).min)
+
+#: Serialises the warning filter :func:`_scan_body` installs: two readers
+#: overlapping in ``catch_warnings`` could otherwise restore each other's
+#: filters and leave the guard off, or on for good.
+_LOADTXT_GUARD = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
 class TraScan:
     """The raw content of a ``.tra`` file, before any validation.
 
@@ -55,31 +91,46 @@ class TraScan:
     initial:
         Declared initial state (CTMDPs; ``0`` for CTMCs), 0-based.
     ctmc_entries:
-        CTMC lines as ``(source, target, rate)``, 0-based.
+        CTMC lines in file order, a structured array with the int64
+        columns ``source``, ``target`` (0-based) and the float64 column
+        ``rate``.
     ctmdp_entries:
-        CTMDP lines as ``(row, action, source, target, rate)``, 0-based.
+        CTMDP lines in file order, a structured array with the int64
+        column ``row`` (0-based), the object column ``action`` (Python
+        strings), the int64 columns ``source``, ``target`` (0-based) and
+        the float64 column ``rate``.
     """
 
     kind: str
     num_states: int
     declared: int
     initial: int = 0
-    ctmc_entries: list[tuple[int, int, float]] = field(default_factory=list)
-    ctmdp_entries: list[tuple[int, str, int, int, float]] = field(default_factory=list)
+    ctmc_entries: np.ndarray = field(default_factory=lambda: np.empty(0, _CTMC_ENTRY))
+    ctmdp_entries: np.ndarray = field(default_factory=lambda: np.empty(0, _CTMDP_ENTRY))
 
+    def row_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(first, inverse, inconsistent)`` over the CTMDP lines.
 
-def _parse_rate(token: str, line: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ModelError(f"unparseable rate {token!r} in line {line!r}") from None
+        ``first`` holds the first line of every distinct row id, in
+        ascending id order; ``inverse`` maps each line to its row's
+        position there; ``inconsistent`` flags the lines whose source or
+        action differs from their row's first line.
+        """
+        entries = self.ctmdp_entries
+        _ids, first, inverse = np.unique(
+            entries["row"], return_index=True, return_inverse=True
+        )
+        inconsistent = entries["source"] != entries["source"][first][inverse]
+        inconsistent |= entries["action"] != entries["action"][first][inverse]
+        return first, inverse, inconsistent
 
-
-def _parse_index(token: str, line: str) -> int:
-    try:
-        return int(token) - 1
-    except ValueError:
-        raise ModelError(f"unparseable state index {token!r} in line {line!r}") from None
+    def bad_rates(self) -> np.ndarray:
+        """Flags the lines whose rate is not a positive finite number
+        (NaN, infinite, negative or zero): the readers refuse them and
+        the linter reports them as ``N002``."""
+        entries = self.ctmc_entries if self.kind == "ctmc" else self.ctmdp_entries
+        rate = entries["rate"]
+        return ~(np.isfinite(rate) & (rate > 0.0))
 
 
 def scan_tra(path: str | Path) -> TraScan:
@@ -101,56 +152,99 @@ def scan_tra(path: str | Path) -> TraScan:
             )
         declared = int(parts[1])
         if parts[0] == "TRANSITIONS":
-            ctmc_entries: list[tuple[int, int, float]] = []
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split()
-                if len(fields) != 3:
-                    raise ModelError(f"expected 'src dst rate', got {line!r}")
-                src, dst, rate = fields
-                ctmc_entries.append(
-                    (
-                        _parse_index(src, line),
-                        _parse_index(dst, line),
-                        _parse_rate(rate, line),
-                    )
-                )
             return TraScan(
                 kind="ctmc",
                 num_states=num_states,
                 declared=declared,
-                ctmc_entries=ctmc_entries,
+                ctmc_entries=_scan_body(handle, _CTMC_ENTRY),
             )
         initial = _expect_header(handle, "INITIAL") - 1
-        ctmdp_entries: list[tuple[int, str, int, int, float]] = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise ModelError(
-                    f"expected 'row action src dst rate', got {line!r}"
-                )
-            row, action, src, dst, rate = fields
-            ctmdp_entries.append(
-                (
-                    _parse_index(row, line),
-                    action,
-                    _parse_index(src, line),
-                    _parse_index(dst, line),
-                    _parse_rate(rate, line),
-                )
-            )
         return TraScan(
             kind="ctmdp",
             num_states=num_states,
             declared=declared,
             initial=initial,
-            ctmdp_entries=ctmdp_entries,
+            ctmdp_entries=_scan_body(handle, _CTMDP_ENTRY),
         )
+
+
+def _scan_body(handle: TextIO, dtype: np.dtype) -> np.ndarray:
+    """The remaining lines of ``handle`` as ``dtype`` records, 0-based."""
+    body = handle.tell()
+    for line in iter(handle.readline, ""):
+        if line.strip():
+            break
+    else:  # only blank lines: loadtxt would warn about the missing data
+        return np.empty(0, dtype)
+    handle.seek(body)
+    indices = [name for name in dtype.names if dtype[name] == np.int64]
+    try:
+        # From 1.23 until a later release refused it, numpy parses an
+        # integer field it cannot read as an integer through float
+        # (``2.9`` becomes 2) and only warns; as an error, that warning
+        # makes loadtxt refuse the line on every supported numpy.
+        with _LOADTXT_GUARD, warnings.catch_warnings():
+            warnings.filterwarnings(
+                "error", message=".*integer via a float", category=DeprecationWarning
+            )
+            # Reading the open handle, not the path, keeps loadtxt away
+            # from numpy's compressed-file layer (and its gzip import).
+            entries = np.loadtxt(handle, dtype=dtype, comments=None, ndmin=1)
+        if any((entries[name] == _LOWEST_INDEX).any() for name in indices):
+            raise ValueError("an index would wrap around when made 0-based")
+    except (ValueError, DeprecationWarning) as exc:
+        # Re-read to name the line as the per-line reader did.
+        handle.seek(body)
+        raise _malformed(handle, dtype) or ModelError(f"malformed line: {exc}") from None
+    for name in indices:
+        entries[name] -= 1
+    return entries
+
+
+def _malformed(lines: TextIO, dtype: np.dtype) -> ModelError | None:
+    """The error naming the first line ``loadtxt`` refused, as the
+    per-line reader words it: a wrong field count, else the first
+    unparseable index or rate."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != len(dtype.names):
+            return ModelError(f"expected '{_LINE_SHAPE[dtype]}', got {line!r}")
+        for name, token in zip(dtype.names, fields):
+            if dtype[name] == np.int64 and not _is_index(token):
+                return ModelError(f"unparseable state index {token!r} in line {line!r}")
+            if dtype[name] == np.float64 and not _is_float(token):
+                return ModelError(f"unparseable rate {token!r} in line {line!r}")
+    return None
+
+
+def _is_index(token: str) -> bool:
+    try:
+        value = int(token)
+    except ValueError:
+        return False
+    return "_" not in token and _LOWEST_INDEX < value <= np.iinfo(np.int64).max
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return "_" not in token
+
+
+def model_from_scan(scan: TraScan) -> CTMC | CTMDP:
+    """Validate a scan and build its model (a CTMC starts in state 0).
+
+    This is the step behind :func:`read_ctmc_tra` and
+    :func:`read_ctmdp_tra`, for callers that already hold the scan.
+    """
+    if scan.kind == "ctmc":
+        return _ctmc_from_scan(scan, scan.initial)
+    return _ctmdp_from_scan(scan)
 
 
 def write_ctmc_tra(ctmc: CTMC, path: str | Path) -> None:
@@ -168,23 +262,38 @@ def read_ctmc_tra(path: str | Path, initial: int = 0) -> CTMC:
 
     The loader refuses exactly what the linter would flag as an error:
     NaN, infinite, negative or zero rates and state indices outside the
-    declared range.
+    declared range.  Repeated ``src dst`` pairs add up.
     """
     scan = scan_tra(path)
     if scan.kind != "ctmc":
         raise ModelError(f"{path} is a {scan.kind} file, expected a CTMC")
-    if len(scan.ctmc_entries) != scan.declared:
+    return _ctmc_from_scan(scan, initial)
+
+
+def _ctmc_from_scan(scan: TraScan, initial: int) -> CTMC:
+    entries = scan.ctmc_entries
+    if len(entries) != scan.declared:
         raise ModelError(
-            f"header announced {scan.declared} transitions, "
-            f"found {len(scan.ctmc_entries)}"
+            f"header announced {scan.declared} transitions, found {len(entries)}"
         )
-    for src, dst, rate in scan.ctmc_entries:
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise ModelError(
-                f"rate {rate!r} on transition {src + 1} -> {dst + 1} is not "
-                "a positive finite number"
-            )
-    return CTMC.from_transitions(scan.num_states, scan.ctmc_entries, initial=initial)
+    src, dst, rate = entries["source"], entries["target"], entries["rate"]
+    bad = scan.bad_rates()
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ModelError(
+            f"rate {float(rate[i])!r} on transition {src[i] + 1} -> {dst[i] + 1} is not "
+            "a positive finite number"
+        )
+    n = scan.num_states
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ModelError(f"transition {src[i]} -> {dst[i]} out of range")
+    # The call CTMC.from_transitions makes, so repeated pairs are summed
+    # in the same order.
+    matrix = sp.csr_matrix((rate, (src, dst)), shape=(n, n), dtype=np.float64)
+    matrix.sum_duplicates()
+    return CTMC(rates=matrix, initial=initial)
 
 
 def write_ctmdp_tra(ctmdp: CTMDP, path: str | Path) -> None:
@@ -206,28 +315,68 @@ def read_ctmdp_tra(path: str | Path) -> CTMDP:
     """Read a CTMDP written by :func:`write_ctmdp_tra`.
 
     Like :func:`read_ctmc_tra`, the loader refuses non-finite and
-    non-positive rates up front; range checks are enforced by the
-    :class:`~repro.core.ctmdp.CTMDP` constructor.
+    non-positive rates, inconsistent row metadata and out-of-range
+    indices.  A target repeated within a row keeps its last rate.
     """
     scan = scan_tra(path)
     if scan.kind != "ctmdp":
         raise ModelError(f"{path} is a {scan.kind} file, expected a CTMDP")
-    rows: dict[int, tuple[int, str, dict[int, float]]] = {}
-    for row, action, src, dst, rate in scan.ctmdp_entries:
-        if not (math.isfinite(rate) and rate > 0.0):
+    return _ctmdp_from_scan(scan)
+
+
+def _ctmdp_from_scan(scan: TraScan) -> CTMDP:
+    """The checks of a reader that walks the lines in file order and
+    then builds ``CTMDP.from_transitions`` from the rows by id: each
+    raises at the first offending line, in that order."""
+    entries = scan.ctmdp_entries
+    row, src, dst, rate = (entries[name] for name in ("row", "source", "target", "rate"))
+    first, inverse, inconsistent = scan.row_groups()
+    bad = scan.bad_rates()
+    if (bad | inconsistent).any():
+        i = int(np.argmax(bad | inconsistent))
+        if bad[i]:
             raise ModelError(
-                f"rate {rate!r} in row {row + 1} is not a positive finite number"
+                f"rate {float(rate[i])!r} in row {row[i] + 1} is not a positive finite number"
             )
-        entry = rows.setdefault(row, (src, action, {}))
-        if entry[0] != src or entry[1] != action:
-            raise ModelError(f"inconsistent transition metadata in row {row + 1}")
-        entry[2][dst] = rate
-    if len(rows) != scan.declared:
-        raise ModelError(
-            f"header announced {scan.declared} choices, found {len(rows)}"
-        )
-    transitions = [rows[row] for row in sorted(rows)]
-    return CTMDP.from_transitions(scan.num_states, transitions, initial=scan.initial)
+        raise ModelError(f"inconsistent transition metadata in row {row[i] + 1}")
+    num_rows = len(first)
+    if num_rows != scan.declared:
+        raise ModelError(f"header announced {scan.declared} choices, found {num_rows}")
+
+    # Rows by source, ties by row id (a stable sort over the id order).
+    sources = src[first]
+    order = np.argsort(sources, kind="stable")
+    n = scan.num_states
+    bad_source = (sources < 0) | (sources >= n)
+    bad_target = (dst < 0) | (dst >= n)
+    if bad_source.any() or bad_target.any():
+        bad_row = bad_source | (np.bincount(inverse[bad_target], minlength=num_rows) > 0)
+        r = order[int(np.argmax(bad_row[order]))]
+        if bad_source[r]:
+            raise ModelError(f"transition source {sources[r]} out of range")
+        i = int(np.argmax(bad_target & (inverse == r)))
+        raise ModelError(f"transition target {dst[i]} out of range")
+
+    position = np.empty(num_rows, dtype=np.int64)
+    position[order] = np.arange(num_rows)
+    line_row = position[inverse]
+    # lexsort is stable: each (row, target) group keeps file order, and
+    # its last line carries the rate that wins.
+    by_entry = np.lexsort((dst, line_row))
+    line_row, targets = line_row[by_entry], dst[by_entry]
+    last = np.ones(len(by_entry), dtype=bool)
+    last[:-1] = (line_row[1:] != line_row[:-1]) | (targets[1:] != targets[:-1])
+    kept = by_entry[last]
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(line_row[last], minlength=num_rows), out=indptr[1:])
+    matrix = sp.csr_matrix((rate[kept], dst[kept], indptr), shape=(num_rows, n))
+    return CTMDP(
+        num_states=n,
+        sources=sources[order],
+        labels=entries["action"][first][order].tolist(),
+        rate_matrix=matrix,
+        initial=scan.initial,
+    )
 
 
 def write_labels(mask: np.ndarray, proposition: str, path: str | Path) -> None:

@@ -11,14 +11,13 @@ guarantees shape) are loaded and linted directly.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ModelError
 from repro.io.json_io import load_model
-from repro.io.tra import TraScan, read_ctmc_tra, read_ctmdp_tra, read_labels, scan_tra
+from repro.io.tra import TraScan, model_from_scan, read_labels, scan_tra
 from repro.lint.analyzers import lint_model
 from repro.lint.diagnostics import Diagnostic, LintReport, make_diagnostic
 
@@ -36,13 +35,15 @@ def lint_tra_scan(scan: TraScan) -> list[Diagnostic]:
     n = scan.num_states
 
     if scan.kind == "ctmc":
-        entries = [(src, dst, rate) for src, dst, rate in scan.ctmc_entries]
+        entries = scan.ctmc_entries
         found = len(entries)
         what = "transitions"
     else:
-        entries = [(src, dst, rate) for _row, _a, src, dst, rate in scan.ctmdp_entries]
-        found = len({row for row, *_rest in scan.ctmdp_entries})
+        entries = scan.ctmdp_entries
+        first, inverse, inconsistent = scan.row_groups()
+        found = len(first)
         what = "choices"
+    src, dst = entries["source"], entries["target"]
 
     if found != scan.declared:
         findings.append(
@@ -52,36 +53,24 @@ def lint_tra_scan(scan: TraScan) -> list[Diagnostic]:
             )
         )
 
-    bad_rate_sources = sorted(
-        {
-            src
-            for src, _dst, rate in entries
-            if not (math.isfinite(rate) and rate > 0.0)
-        }
-    )
-    if bad_rate_sources:
+    bad_rate_sources = np.unique(src[scan.bad_rates()])
+    if len(bad_rate_sources):
         findings.append(
             make_diagnostic(
                 "N002",
                 f"{len(bad_rate_sources)} state(s) carry NaN/inf/non-positive "
                 "rates",
-                states=[s for s in bad_rate_sources if 0 <= s < n],
+                states=_in_range(bad_rate_sources, n),
             )
         )
 
-    dangling = sorted(
-        {
-            src
-            for src, dst, _rate in entries
-            if not (0 <= src < n and 0 <= dst < n)
-        }
-    )
-    if dangling:
+    dangling = np.unique(src[(src < 0) | (src >= n) | (dst < 0) | (dst >= n)])
+    if len(dangling):
         findings.append(
             make_diagnostic(
                 "S002",
                 f"transitions reference states outside 1..{n} (1-based)",
-                states=[s for s in dangling if 0 <= s < n],
+                states=_in_range(dangling, n),
             )
         )
 
@@ -93,21 +82,19 @@ def lint_tra_scan(scan: TraScan) -> list[Diagnostic]:
                     f"initial state {scan.initial + 1} outside 1..{n} (1-based)",
                 )
             )
-        meta: dict[int, tuple[int, str]] = {}
-        inconsistent = []
-        for row, action, src, _dst, _rate in scan.ctmdp_entries:
-            previous = meta.setdefault(row, (src, action))
-            if previous != (src, action):
-                inconsistent.append(row)
-        if inconsistent:
+        if inconsistent.any():
             findings.append(
                 make_diagnostic(
                     "S005",
-                    f"{len(set(inconsistent))} transition row(s) carry "
+                    f"{len(np.unique(inverse[inconsistent]))} transition row(s) carry "
                     "inconsistent source/action metadata",
                 )
             )
     return findings
+
+
+def _in_range(states: np.ndarray, n: int) -> list[int]:
+    return states[(states >= 0) & (states < n)].tolist()
 
 
 def sibling_goal_mask(path: str | Path, num_states: int) -> np.ndarray | None:
@@ -167,9 +154,7 @@ def lint_path(path: str | Path, graph: bool = False, **options: bool) -> LintRep
         report = LintReport(target=str(path), kind=scan.kind)
         report.extend(lint_tra_scan(scan))
         if not report.has_errors:
-            model = (
-                read_ctmc_tra(path) if scan.kind == "ctmc" else read_ctmdp_tra(path)
-            )
+            model = model_from_scan(scan)
             report.extend(lint_model(model, **options))
             if graph:
                 report.extend(_graph_findings(model, path))

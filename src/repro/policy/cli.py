@@ -255,7 +255,7 @@ def _against_model(args: argparse.Namespace, artifact: PolicyArtifact):
     :func:`cmd_policy` maps them to the usage exit code.
     """
     from repro.core.ctmdp import CTMDP
-    from repro.io.tra import read_ctmdp_tra, read_labels, scan_tra
+    from repro.io.tra import model_from_scan, read_labels, scan_tra
 
     path = Path(args.against)
     if path.suffix == ".tra":
@@ -264,7 +264,7 @@ def _against_model(args: argparse.Namespace, artifact: PolicyArtifact):
             raise ReproError(
                 f"{path} holds a {scan.kind}; replay needs a CTMDP"
             )
-        model = read_ctmdp_tra(path)
+        model = model_from_scan(scan)
     elif path.suffix == ".json":
         from repro.io.json_io import load_model
 

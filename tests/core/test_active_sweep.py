@@ -64,6 +64,15 @@ class TestOracleEquality:
             )
             result = _solve(ctmdp, goal, blocked, t, objective)
             np.testing.assert_array_equal(result.values, values)
+            swept = ~goal & (np.diff(ctmdp.choice_ptr) > 0)
+            if blocked is not None:
+                swept &= ~blocked
+            if not swept.any():
+                # Nothing outside the goal and the blocked states moves:
+                # the goal indicator, answered without a sweep.
+                assert result.iterations == 0
+                assert result.decisions is None
+                continue
             np.testing.assert_array_equal(
                 result.decisions.dense(),
                 _expected_decisions(ctmdp, goal, blocked, decisions),

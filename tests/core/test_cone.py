@@ -30,12 +30,12 @@ EPSILON = 1e-10
 
 @st.composite
 def ctmcs_with_goals(draw, max_states: int = 6):
-    """A random non-uniform CTMC, 1..3 edges per state, with a random
+    """A random non-uniform CTMC, 0..3 edges per state, with a random
     goal set that leaves at least one state outside."""
     n = draw(st.integers(2, max_states))
     rates = sp.lil_matrix((n, n))
     for src in range(n):
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(0, 3))):
             rates[src, draw(st.integers(0, n - 1))] += draw(st.floats(0.1, 5.0))
     goal = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     goal[draw(st.integers(0, n - 1))] = False

@@ -8,11 +8,17 @@ model raised :class:`~repro.errors.NonUniformError` although its answer
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.ctmdp import CTMDP
 from repro.core.reachability import PreparedTimedReachability, timed_reachability
 from repro.core.until import timed_until
+from repro.ctmc.model import CTMC
+from repro.ctmc.reachability import PreparedCTMCReachability
+from repro.ctmc.reachability import timed_reachability as ctmc_reachability
+from repro.ctmc.until import timed_until as ctmc_until
 from repro.errors import NonUniformError
+from repro.obs import NumericalCertificate
 
 
 def non_uniform_model() -> CTMDP:
@@ -100,3 +106,51 @@ class TestUntilEarlyReturns:
     def test_non_trivial_until_on_non_uniform_still_raises(self):
         with pytest.raises(NonUniformError):
             timed_until(non_uniform_model(), [0], [1], 1.0)
+
+
+class TestNothingMoves:
+    """When no state outside the goal (and, for until, outside the
+    blocked set) has a transition, the goal and blocked states are
+    absorbing and the answer is the goal indicator -- without a rate,
+    a sweep or a Poisson window."""
+
+    @staticmethod
+    def assert_indicator(result, expected, algorithm, epsilon):
+        np.testing.assert_array_equal(result.values, expected)
+        assert result.iterations == 0
+        assert result.certificate == NumericalCertificate.trivial(algorithm, epsilon)
+
+    def test_ctmc_without_transitions(self):
+        chain = CTMC(rates=sp.csr_matrix((2, 2)))
+        result = ctmc_reachability(chain, [1], 10.0)
+        self.assert_indicator(result, [0.0, 1.0], "ctmc.reachability", 1e-10)
+
+    def test_ctmc_whose_only_transition_leaves_the_goal(self):
+        chain = CTMC.from_transitions(3, [(2, 0, 1.0)], initial=0)
+        result = PreparedCTMCReachability(chain, [2]).solve(10.0)
+        self.assert_indicator(result, [0.0, 0.0, 1.0], "ctmc.reachability", 1e-10)
+
+    def test_ctmdp_without_transitions(self):
+        model = CTMDP.from_transitions(2, [])
+        for objective in ("max", "min"):
+            result = timed_reachability(model, [1], 10.0, objective=objective)
+            self.assert_indicator(result, [0.0, 1.0], "ctmdp.reachability", 1e-6)
+            assert result.uniform_rate == 0.0
+
+    def test_ctmdp_whose_only_transition_leaves_the_goal(self):
+        model = CTMDP.from_transitions(2, [(1, "a", {0: 2.0})])
+        result = PreparedTimedReachability(model, [1]).solve(5.0)
+        self.assert_indicator(result, [0.0, 1.0], "ctmdp.reachability", 1e-6)
+
+    def test_ctmdp_until_with_non_uniform_blocked_states(self):
+        """Only blocked states move, at exit rates 1 and 2."""
+        model = CTMDP.from_transitions(
+            3, [(0, "a", {1: 1.0}), (1, "b", {0: 2.0})]
+        )
+        result = timed_until(model, [], [2], 5.0)
+        self.assert_indicator(result, [0.0, 0.0, 1.0], "ctmdp.until", 1e-6)
+
+    def test_ctmc_until_with_only_blocked_transitions(self):
+        chain = CTMC.from_transitions(2, [(0, 1, 1.0)])
+        result = ctmc_until(chain, [], [1], 5.0)
+        self.assert_indicator(result, [0.0, 1.0], "ctmc.reachability", 1e-10)

@@ -23,6 +23,7 @@ HEAVY_FOR_BATCH = (
     "scipy.sparse.linalg",
     "scipy.sparse.csgraph",
     "repro.analysis",
+    "gzip",  # numpy's path-based file reading; the .tra reader reads a handle
 )
 
 #: Child: import the modules named in argv, print the loaded module set.
@@ -100,3 +101,25 @@ def test_batch_loads_no_heavy_module_on_build_and_disk_hit(tmp_path):
             (result["value"], result["iterations"], result["model_key"], result["certificate"])
         )
     assert answers[0] == answers[1]
+
+
+#: Child: run one Table 1 row, print whether ``scipy.special`` was
+#: loaded as each timed solve started.
+TABLE1_CHILD = """
+import json, sys
+from repro.analysis import experiments
+loaded = []
+solve = experiments.PreparedTimedReachability.solve
+def recording(self, *args, **kwargs):
+    loaded.append("scipy.special" in sys.modules)
+    return solve(self, *args, **kwargs)
+experiments.PreparedTimedReachability.solve = recording
+experiments.table1_row(1, time_bounds=(100.0, 200.0))
+print(json.dumps({"loaded": loaded}))
+"""
+
+
+def test_table1_first_runtime_cell_times_no_import():
+    """The certificate imports scipy.special lazily; Table 1 loads it
+    before its first timer starts."""
+    assert run_child(TABLE1_CHILD)["loaded"] == [True, True]
