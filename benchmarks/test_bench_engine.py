@@ -1,5 +1,10 @@
-"""Benchmark: the analysis engine's disk cache, batching and per-query cost.
+"""Benchmark: the analysis engine's builds, disk cache, batching and per-query cost.
 
+* **The direct FTWC build a registry miss pays** -- ``build_ctmdp`` for
+  N=4, 8, 16 and 32 and ``build_ctmc`` for N=16 (best of 3).  The N=8
+  CTMDP must be bitwise the ``Config``-object reference generator's.
+  Build times and sizes go to the ``BENCH_engine.json`` ledger under
+  ``kind: "ftwc-build"``.
 * **The ``.tra`` round trip of the disk cache** -- the FTWC uCTMDP for
   N=4 and N=32 is written with ``write_ctmdp_tra`` and read back with
   ``read_ctmdp_tra`` (best of 3), as a registry disk miss and disk hit
@@ -27,6 +32,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _ledger import append_run
@@ -35,11 +41,46 @@ from repro.engine import Query, QueryEngine
 from repro.engine.registry import BuiltModel
 from repro.io.tra import read_ctmdp_tra, write_ctmdp_tra
 from repro.models import ftwc_direct
+from tests.oracles import ftwc_direct as reference_generator
 from tests.oracles.tra import assert_same_model
 
 SPEC = {"family": "ftwc", "n": 4}
+FTWC_BUILD_SIZES = (4, 8, 16, 32)
 TRA_IO_SIZES = (4, 32)
 TIME_POINTS = tuple(float(t) for t in range(0, 501, 50))  # 11 points
+LEDGER = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+
+def _best_of_3(call, *args):
+    """``call(*args)``'s result and its fastest wall time over three calls."""
+    seconds = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        result = call(*args)
+        seconds = min(seconds, time.perf_counter() - started)
+    return result, seconds
+
+
+def test_ftwc_build_ledger():
+    model = ftwc_direct.build_ctmdp(8)
+    reference, configs, goal = reference_generator.build_ctmdp(8)
+    assert_same_model(model.ctmdp, reference)
+    assert list(model.configs) == configs
+    np.testing.assert_array_equal(model.goal_mask, goal)
+
+    record = {"kind": "ftwc-build"}
+    for n in FTWC_BUILD_SIZES:
+        model, seconds = _best_of_3(ftwc_direct.build_ctmdp, n)
+        record[f"n{n}"] = {
+            "states": model.ctmdp.num_states,
+            "rows": model.ctmdp.num_transitions,
+            "build_seconds": round(seconds, 6),
+        }
+        print(f"\nbuild_ctmdp N={n}: {model.ctmdp.num_states} states, {seconds:.3f} s")
+    (chain, _configs, _goal), seconds = _best_of_3(ftwc_direct.build_ctmc, 16)
+    record["ctmc_n16"] = {"states": chain.num_states, "build_seconds": round(seconds, 6)}
+    print(f"build_ctmc N=16: {chain.num_states} states, {seconds:.3f} s")
+    append_run(LEDGER, "engine-serve-mix", record)
 
 
 def test_tra_io_ledger(tmp_path):
@@ -50,11 +91,7 @@ def test_tra_io_ledger(tmp_path):
         started = time.perf_counter()
         write_ctmdp_tra(built, path)
         write_seconds = time.perf_counter() - started
-        read_seconds = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            read = read_ctmdp_tra(path)
-            read_seconds = min(read_seconds, time.perf_counter() - started)
+        read, read_seconds = _best_of_3(read_ctmdp_tra, path)
         assert_same_model(read, built)
         record[f"n{n}"] = {
             "states": built.num_states,
@@ -66,8 +103,7 @@ def test_tra_io_ledger(tmp_path):
             f"\nftwc N={n}: {path.stat().st_size / 1e6:.1f} MB, write "
             f"{write_seconds:.3f} s, read {read_seconds:.3f} s (best of 3)"
         )
-    out = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-    append_run(out, "engine-serve-mix", record)
+    append_run(LEDGER, "engine-serve-mix", record)
 
 
 def test_batched_sweep_vs_independent_calls(benchmark):
@@ -166,8 +202,7 @@ def test_serve_mix_ledger(monkeypatch):
             for goal, entry in per_goal.items()
         },
     }
-    out = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-    append_run(out, "engine-serve-mix", record)
+    append_run(LEDGER, "engine-serve-mix", record)
     print(
         f"\n{len(queries)} queries: no_premium "
         f"{per_goal['no_premium']['solve_seconds']:.3f} s, premium "

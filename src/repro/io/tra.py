@@ -16,6 +16,10 @@ action may contain ``#``).  State and row indices are decimal integers
 with an optional sign, above ``-2**63`` and below ``2**63``; rates are
 anything ``float()`` reads (``1.5``, ``2e-3``, ``inf``, ``nan``, ...),
 except that neither accepts ``_`` digit separators.
+
+The writers format each row's prefix, each state index and each
+distinct rate (``repr``, the shortest string that reads back to the same
+float) once, and write the body with one ``join``.
 """
 
 from __future__ import annotations
@@ -143,22 +147,16 @@ def scan_tra(path: str | Path) -> TraScan:
         numbers).  Bad *values* are preserved for the caller to judge.
     """
     with open(path, "r", encoding="ascii") as handle:
-        num_states = _expect_header(handle, "STATES")
-        second = handle.readline().strip()
-        parts = second.split()
-        if len(parts) != 2 or parts[0] not in ("TRANSITIONS", "CHOICES"):
-            raise ModelError(
-                f"expected 'TRANSITIONS <n>' or 'CHOICES <n>' header, got {second!r}"
-            )
-        declared = int(parts[1])
-        if parts[0] == "TRANSITIONS":
+        num_states = _expect_header(handle, "STATES")[1]
+        keyword, declared = _expect_header(handle, "TRANSITIONS", "CHOICES")
+        if keyword == "TRANSITIONS":
             return TraScan(
                 kind="ctmc",
                 num_states=num_states,
                 declared=declared,
                 ctmc_entries=_scan_body(handle, _CTMC_ENTRY),
             )
-        initial = _expect_header(handle, "INITIAL") - 1
+        initial = _expect_header(handle, "INITIAL")[1] - 1
         return TraScan(
             kind="ctmdp",
             num_states=num_states,
@@ -249,12 +247,28 @@ def model_from_scan(scan: TraScan) -> CTMC | CTMDP:
 
 def write_ctmc_tra(ctmc: CTMC, path: str | Path) -> None:
     """Write a CTMC in ETMCC ``.tra`` format (1-based state indices)."""
+    matrix = ctmc.rates.tocoo()
+    index = _index_tokens(ctmc.num_states)
+    body = index[matrix.row] + index[matrix.col] + _rate_tokens(matrix.data)
     with open(path, "w", encoding="ascii") as handle:
         handle.write(f"STATES {ctmc.num_states}\n")
         handle.write(f"TRANSITIONS {ctmc.num_transitions}\n")
-        matrix = ctmc.rates.tocoo()
-        for src, dst, rate in zip(matrix.row, matrix.col, matrix.data):
-            handle.write(f"{src + 1} {dst + 1} {float(rate)!r}\n")
+        handle.write("".join(body.tolist()))
+
+
+def _index_tokens(num_states: int) -> np.ndarray:
+    """``"i "`` for every 1-based state index ``i``, by 0-based index."""
+    return np.array([f"{i} " for i in range(1, num_states + 1)], dtype=object)
+
+
+def _rate_tokens(rates: np.ndarray) -> np.ndarray:
+    """``repr(rate) + "\\n"`` per entry, each distinct rate formatted once
+    (distinct by bit pattern, so ``-0.0`` keeps its sign)."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(rates, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    tokens = np.array([f"{rate!r}\n" for rate in bits.view(np.float64).tolist()], dtype=object)
+    return tokens[inverse]
 
 
 def read_ctmc_tra(path: str | Path, initial: int = 0) -> CTMC:
@@ -298,17 +312,19 @@ def _ctmc_from_scan(scan: TraScan, initial: int) -> CTMC:
 
 def write_ctmdp_tra(ctmdp: CTMDP, path: str | Path) -> None:
     """Write a CTMDP: ``transition-index action source target rate`` lines."""
+    matrix = ctmdp.rate_matrix
+    index = _index_tokens(ctmdp.num_states)
+    rows = np.array(
+        [f"{row} {action} " for row, action in enumerate(ctmdp.labels, start=1)],
+        dtype=object,
+    )
+    prefix = np.repeat(rows + index[ctmdp.sources], np.diff(matrix.indptr))
+    body = prefix + index[matrix.indices] + _rate_tokens(matrix.data)
     with open(path, "w", encoding="ascii") as handle:
         handle.write(f"STATES {ctmdp.num_states}\n")
         handle.write(f"CHOICES {ctmdp.num_transitions}\n")
         handle.write(f"INITIAL {ctmdp.initial + 1}\n")
-        matrix = ctmdp.rate_matrix
-        for row in range(ctmdp.num_transitions):
-            src = int(ctmdp.sources[row])
-            action = ctmdp.labels[row]
-            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-            for dst, rate in zip(matrix.indices[lo:hi], matrix.data[lo:hi]):
-                handle.write(f"{row + 1} {action} {src + 1} {int(dst) + 1} {float(rate)!r}\n")
+        handle.write("".join(body.tolist()))
 
 
 def read_ctmdp_tra(path: str | Path) -> CTMDP:
@@ -419,9 +435,15 @@ def read_labels(path: str | Path, num_states: int) -> dict[str, np.ndarray]:
     return masks
 
 
-def _expect_header(handle: TextIO, keyword: str) -> int:
+def _expect_header(handle: TextIO, *keywords: str) -> tuple[str, int]:
+    """The keyword and count of the next line, which must be one of
+    ``keywords`` followed by an integer."""
     line = handle.readline().strip()
     parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise ModelError(f"expected '{keyword} <n>' header, got {line!r}")
-    return int(parts[1])
+    if len(parts) == 2 and parts[0] in keywords:
+        try:
+            return parts[0], int(parts[1])
+        except ValueError:
+            pass
+    expected = " or ".join(f"'{keyword} <n>'" for keyword in keywords)
+    raise ModelError(f"expected {expected} header, got {line!r}")

@@ -38,15 +38,31 @@ rate ``mu_max`` (slower repairs are padded with self-loop rate, exactly
 Jensen's uniformization).  This mirrors the elapse-based compositional
 construction and reproduces the uniform rates implied by the iteration
 counts of Table 1.
+
+Generation
+----------
+A configuration is built as one mixed-radix integer code,
+``((((fl*(N+1) + fr)*2 + swL)*2 + swR)*2 + bb)*6 + unit``, so ``(N+1)**2
+* 48`` codes cover them all (and some that are not configurations: the
+repair unit on a kind that has not failed).  numpy fills the race out of
+every code at once, as seven slots of target code and rate: the five
+failures, the running repair and the self-loop padding.  One integer
+pass then numbers the codes reachable from the all-up cluster, depth
+first from a LIFO stack and each at first sight -- the numbering of the
+``Config``-object generator this replaced, which the test suite keeps as
+its reference -- and the CSR arrays are gathered from the table.  A
+build creates no ``Config`` object, and its models are bitwise the
+reference's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.ctmdp import CTMDP
 from repro.ctmc.model import CTMC
@@ -68,6 +84,29 @@ KINDS = ("wsL", "wsR", "swL", "swR", "bb")
 
 #: The repair unit is idle.
 IDLE = ""
+
+#: Positions of the repair unit, in code order: idle, then ``KINDS``.
+_UNIT = (IDLE, *KINDS)
+
+#: Row labels by choice column: one grab per kind, then the race.
+_LABELS = np.array([f"g_{kind}" for kind in KINDS] + ["tau"], dtype=object)
+
+#: Slots of a race, in the order the exponential race lists its
+#: targets: one failure per kind, the running repair, the self-loop.
+_REPAIR, _SELF = len(KINDS), len(KINDS) + 1
+
+#: Configurations that differ only in the two failed counts share the
+#: low code digits ``((swL*2 + swR)*2 + bb)*6 + unit``.
+_LOW = 48
+
+#: State-name tail ``swL=..,swR=..,bb=..,ru=..`` per low code digit.
+_TAIL = tuple(
+    f"swL={sw_left},swR={sw_right},bb={bb},ru={unit or 'idle'}"
+    for sw_left in ("up", "down")
+    for sw_right in ("up", "down")
+    for bb in ("up", "down")
+    for unit in _UNIT
+)
 
 
 @dataclass(frozen=True)
@@ -155,43 +194,11 @@ class Config:
         """True iff the repair unit must be (re)assigned here."""
         return self.repairing == IDLE and bool(self.failed_kinds())
 
-    def with_repairing(self, kind: str) -> "Config":
-        """Attach the repair unit to ``kind``."""
-        return Config(self.failed_left, self.failed_right, self.sw_left_down,
-                      self.sw_right_down, self.bb_down, kind)
-
-    def after_failure(self, kind: str) -> "Config":
-        """Configuration after one more component of ``kind`` fails."""
-        return Config(
-            self.failed_left + (kind == "wsL"),
-            self.failed_right + (kind == "wsR"),
-            self.sw_left_down or kind == "swL",
-            self.sw_right_down or kind == "swR",
-            self.bb_down or kind == "bb",
-            self.repairing,
-        )
-
-    def after_repair(self) -> "Config":
-        """Configuration after the running repair completes (unit released)."""
-        kind = self.repairing
-        return Config(
-            self.failed_left - (kind == "wsL"),
-            self.failed_right - (kind == "wsR"),
-            self.sw_left_down and kind != "swL",
-            self.sw_right_down and kind != "swR",
-            self.bb_down and kind != "bb",
-            IDLE,
-        )
-
     def describe(self) -> str:
         """Compact human-readable rendering."""
-        ru = self.repairing or "idle"
-        return (
-            f"fL={self.failed_left},fR={self.failed_right},"
-            f"swL={'down' if self.sw_left_down else 'up'},"
-            f"swR={'down' if self.sw_right_down else 'up'},"
-            f"bb={'down' if self.bb_down else 'up'},ru={ru}"
-        )
+        low = ((self.sw_left_down * 2 + self.sw_right_down) * 2 + self.bb_down) * 6
+        tail = _TAIL[low + _UNIT.index(self.repairing)]
+        return f"fL={self.failed_left},fR={self.failed_right},{tail}"
 
 
 def premium(config: Config, n: int, threshold: int | None = None) -> bool:
@@ -207,48 +214,32 @@ def premium(config: Config, n: int, threshold: int | None = None) -> bool:
     property.  Smaller thresholds give the *minimum quality* variants
     also studied in [13] (e.g. ``threshold = (3 * n) // 4``).
     """
+    return bool(
+        _connected(
+            n - config.failed_left,
+            n - config.failed_right,
+            not config.sw_left_down,
+            not config.sw_right_down,
+            not config.bb_down,
+            _required(n, threshold),
+        )
+    )
+
+
+def _required(n: int, threshold: int | None) -> int:
     need = n if threshold is None else threshold
     if not 0 < need <= 2 * n:
         raise ModelError(f"quality threshold must lie in 1..{2 * n}, got {need}")
-    op_left = n - config.failed_left
-    op_right = n - config.failed_right
-    sw_left = not config.sw_left_down
-    sw_right = not config.sw_right_down
-    bb = not config.bb_down
-    if sw_left and op_left >= need:
-        return True
-    if sw_right and op_right >= need:
-        return True
-    return sw_left and sw_right and bb and op_left + op_right >= need
+    return need
 
 
-def _race(config: Config, params: FTWCParameters, total: float) -> dict[Config, float]:
-    """Rate function of the exponential race out of ``config``.
-
-    Precondition: ``config`` is not a decision point.  The self-loop
-    padding tops the exit rate up to the uniform rate ``total``.
-    """
-    n = params.n
-    rates: dict[Config, float] = {}
-
-    def add(target: Config, rate: float) -> None:
-        if rate > 0.0:
-            rates[target] = rates.get(target, 0.0) + rate
-
-    add(config.after_failure("wsL"), (n - config.failed_left) * params.ws_fail)
-    add(config.after_failure("wsR"), (n - config.failed_right) * params.ws_fail)
-    if not config.sw_left_down:
-        add(config.after_failure("swL"), params.sw_fail)
-    if not config.sw_right_down:
-        add(config.after_failure("swR"), params.sw_fail)
-    if not config.bb_down:
-        add(config.after_failure("bb"), params.bb_fail)
-    if config.repairing:
-        add(config.after_repair(), params.repair_rate(config.repairing))
-
-    padding = total - math.fsum(rates.values())
-    add(config, padding)
-    return rates
+def _connected(op_left, op_right, sw_left, sw_right, bb, need):
+    """:func:`premium` over scalars or (elementwise) arrays of fields."""
+    return (
+        (sw_left & (op_left >= need))
+        | (sw_right & (op_right >= need))
+        | (sw_left & sw_right & bb & (op_left + op_right >= need))
+    )
 
 
 @dataclass
@@ -260,7 +251,7 @@ class FTWCModel:
     ctmdp:
         The uniform CTMDP (states are configurations).
     configs:
-        Configuration per CTMDP state.
+        Configuration per CTMDP state, decoded on access.
     goal_mask:
         Boolean mask of the non-premium states (the goal set ``B`` of
         the paper's property "premium service is not guaranteed").
@@ -269,7 +260,7 @@ class FTWCModel:
     """
 
     ctmdp: CTMDP
-    configs: list[Config]
+    configs: Sequence[Config]
     goal_mask: np.ndarray
     params: FTWCParameters
 
@@ -279,36 +270,156 @@ class FTWCModel:
         return self.ctmdp.initial
 
 
-def _explore(
-    params: FTWCParameters, racing_decisions: bool = False
-) -> tuple[list[Config], dict[Config, int]]:
-    """Enumerate all configurations reachable from the fully-up cluster.
+class _Configs(Sequence[Config]):
+    """The configuration of each state, decoded from its code on access."""
 
-    With ``racing_decisions`` the decision points additionally spawn
-    their failure successors (needed for the CTMC variant, where the
-    failure clocks race against the assignment delay).
+    def __init__(self, codes: np.ndarray, n: int) -> None:
+        self._codes = codes
+        self._n = n
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        fl, fr, sw_left, sw_right, bb, unit = _decode(int(self._codes[index]), self._n)
+        return Config(fl, fr, bool(sw_left), bool(sw_right), bool(bb), _UNIT[unit])
+
+
+# ----------------------------------------------------------------------
+# Integer-coded configurations
+# ----------------------------------------------------------------------
+# A configuration is the mixed-radix integer
+#     ((((fl*(n+1) + fr)*2 + swL)*2 + swR)*2 + bb)*6 + unit
+# with ``unit`` indexing ``_UNIT``; the all-up cluster is code 0.
+
+
+def _decode(codes, n: int):
+    """Fields ``(fl, fr, swL, swR, bb, unit)`` of one code or an array."""
+    rest, unit = divmod(codes, 6)
+    rest, bb = divmod(rest, 2)
+    rest, sw_right = divmod(rest, 2)
+    rest, sw_left = divmod(rest, 2)
+    fl, fr = divmod(rest, n + 1)
+    return fl, fr, sw_left, sw_right, bb, unit
+
+
+class _Races:
+    """The exponential race out of every configuration code.
+
+    ``target[c, slot]`` and ``rate[c, slot]`` hold the race out of code
+    ``c``: the slots are one failure per kind (in ``KINDS`` order), the
+    running repair and the self-loop padding, as the race lists them;
+    ``target`` is -1 where the slot's rate is not positive.  Codes whose
+    repair unit sits on a kind that has not failed are not
+    configurations (``valid`` is ``False``); their rows are empty.
+
+    ``grabs[c, k]`` is the code ``c`` with the repair unit on kind
+    ``k`` where ``c`` is a decision point and ``k`` has failed, else -1.
     """
-    start = Config(0, 0, False, False, False, IDLE)
-    index: dict[Config, int] = {start: 0}
-    order: list[Config] = [start]
-    total = uniform_rate(params)
-    frontier = [start]
-    while frontier:
-        config = frontier.pop()
-        successors: list[Config] = []
-        if config.is_decision_point():
-            for kind in config.failed_kinds():
-                successors.extend(_race(config.with_repairing(kind), params, total))
-            if racing_decisions:
-                successors.extend(_race(config, params, total))
-        else:
-            successors.extend(_race(config, params, total))
-        for target in successors:
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                frontier.append(target)
-    return order, index
+
+    def __init__(self, params: FTWCParameters) -> None:
+        n = params.n
+        self.codes = np.arange((n + 1) ** 2 * _LOW)
+        fl, fr, sw_left, sw_right, bb, unit = _decode(self.codes, n)
+        failed = np.stack([fl > 0, fr > 0, sw_left == 1, sw_right == 1, bb == 1], axis=1)
+        unit_kind = np.maximum(unit - 1, 0)
+        self.valid = (unit == 0) | failed[self.codes, unit_kind]
+        self.decision = (unit == 0) & failed.any(axis=1)
+        self.grabs = np.where(
+            self.decision[:, None] & failed,
+            self.codes[:, None] + 1 + np.arange(len(KINDS)),
+            -1,
+        )
+
+        rate = np.zeros((len(self.codes), _SELF + 1))
+        rate[:, 0] = (n - fl) * params.ws_fail
+        rate[:, 1] = (n - fr) * params.ws_fail
+        rate[:, 2] = np.where(sw_left == 0, params.sw_fail, 0.0)
+        rate[:, 3] = np.where(sw_right == 0, params.sw_fail, 0.0)
+        rate[:, 4] = np.where(bb == 0, params.bb_fail, 0.0)
+        repair = np.array([0.0] + [params.repair_rate(kind) for kind in KINDS])
+        rate[:, _REPAIR] = repair[unit]
+        rate[~(rate > 0.0)] = 0.0
+        # The self-loop tops each race up to E(N).  ``math.fsum`` rounds
+        # the exact sum of a row once, so the padding's bits do not
+        # depend on the order its slots are added in.
+        total = uniform_rate(params)
+        rate[self.valid, _SELF] = total - np.array(
+            list(map(math.fsum, rate[self.valid, :_SELF].tolist()))
+        )
+        rate[~(rate > 0.0)] = 0.0
+        rate[~self.valid] = 0.0
+        self.rate = rate
+
+        strides = np.array([_LOW * (n + 1), _LOW, 24, 12, 6])
+        target = np.empty(rate.shape, dtype=np.int64)
+        target[:, : len(KINDS)] = self.codes[:, None] + strides
+        target[:, _REPAIR] = self.codes - strides[unit_kind] - unit
+        target[:, _SELF] = self.codes
+        target[rate == 0.0] = -1
+        self.target = target
+
+    def explore(self, choices: np.ndarray) -> np.ndarray:
+        """The reachable codes in order of discovery.
+
+        ``choices[c]`` lists the codes whose races code ``c`` moves by
+        (-1 for none).  Depth first from a LIFO stack, each code is
+        numbered when first seen, in the order of ``c``'s choices and
+        each race's slots -- the order of the ``Config``-object
+        exploration this replaces, so every state keeps its number.
+        """
+        owner, column = np.nonzero(choices >= 0)
+        successors = self.target[choices[owner, column]]
+        present = successors >= 0
+        counts = np.bincount(
+            np.repeat(owner, present.sum(axis=1)), minlength=len(self.codes)
+        )
+        ptr = np.zeros(len(self.codes) + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        flat, starts = successors[present].tolist(), ptr.tolist()
+        seen = bytearray(len(self.codes))
+        seen[0] = 1
+        order, stack = [0], [0]
+        while stack:
+            code = stack.pop()
+            for successor in flat[starts[code] : starts[code + 1]]:
+                if not seen[successor]:
+                    seen[successor] = 1
+                    order.append(successor)
+                    stack.append(successor)
+        return np.array(order, dtype=np.int64)
+
+
+def _csr_rows(columns: np.ndarray, rates: np.ndarray, num_states: int) -> sp.csr_matrix:
+    """One CSR row per row of ``columns``/``rates``, columns sorted;
+    entries whose column is ``num_states`` are left out."""
+    by_column = np.argsort(columns, axis=1)
+    columns = np.take_along_axis(columns, by_column, axis=1)
+    rates = np.take_along_axis(rates, by_column, axis=1)
+    kept = columns < num_states
+    indptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix(
+        (rates[kept], columns[kept], indptr), shape=(len(columns), num_states)
+    )
+
+
+def _states(races: _Races, order: np.ndarray) -> np.ndarray:
+    """State number per code (-1 for the unreachable ones), with one
+    extra entry so that code -1 maps to ``len(order)``."""
+    state = np.full(len(races.codes) + 1, -1, dtype=np.int64)
+    state[order] = np.arange(len(order))
+    state[-1] = len(order)
+    return state
+
+
+def _goal(order: np.ndarray, n: int, quality_threshold: int | None) -> np.ndarray:
+    fl, fr, sw_left, sw_right, bb, _unit = _decode(order, n)
+    return ~_connected(
+        n - fl, n - fr, sw_left == 0, sw_right == 0, bb == 0, _required(n, quality_threshold)
+    )
 
 
 def build_ctmdp(
@@ -329,32 +440,36 @@ def build_ctmdp(
     params = params or FTWCParameters(n=n)
     if params.n != n:
         raise ModelError("n argument and params.n disagree")
-    total = uniform_rate(params)
-    order, index = _explore(params)
+    races = _Races(params)
+    own = np.where(races.valid & ~races.decision, races.codes, -1)
+    choices = np.column_stack([races.grabs, own])
+    order = races.explore(choices)
+    state = _states(races, order)
 
-    transitions: list[tuple[int, str, dict[int, float]]] = []
-    for config in order:
-        src = index[config]
-        if config.is_decision_point():
-            for kind in config.failed_kinds():
-                rates = _race(config.with_repairing(kind), params, total)
-                transitions.append(
-                    (src, f"g_{kind}", {index[c]: r for c, r in rates.items()})
-                )
-        else:
-            rates = _race(config, params, total)
-            transitions.append((src, "tau", {index[c]: r for c, r in rates.items()}))
-
-    ctmdp = CTMDP.from_transitions(
+    reached = choices[order]
+    sources, column = np.nonzero(reached >= 0)
+    rows = reached[sources, column]
+    rate_matrix = _csr_rows(state[races.target[rows]], races.rate[rows], len(order))
+    fl, fr, *_ = _decode(order, n)
+    names = (
+        np.array([f"fL={i},fR=" for i in range(n + 1)], dtype=object)[fl]
+        + np.array([f"{i}," for i in range(n + 1)], dtype=object)[fr]
+        + np.array(_TAIL, dtype=object)[order % _LOW]
+    )
+    ctmdp = CTMDP(
         num_states=len(order),
-        transitions=transitions,
+        sources=sources,
+        labels=_LABELS[column].tolist(),
+        rate_matrix=rate_matrix,
         initial=0,
-        state_names=[c.describe() for c in order],
+        state_names=names.tolist(),
     )
-    goal = np.array(
-        [not premium(c, n, quality_threshold) for c in order], dtype=bool
+    return FTWCModel(
+        ctmdp=ctmdp,
+        configs=_Configs(order, n),
+        goal_mask=_goal(order, n, quality_threshold),
+        params=params,
     )
-    return FTWCModel(ctmdp=ctmdp, configs=order, goal_mask=goal, params=params)
 
 
 def build_ctmc(
@@ -362,7 +477,7 @@ def build_ctmc(
     params: FTWCParameters | None = None,
     gamma: float = 10.0,
     quality_threshold: int | None = None,
-) -> tuple[CTMC, list[Config], np.ndarray]:
+) -> tuple[CTMC, Sequence[Config], np.ndarray]:
     """Build the CTMC approximation of [13]: nondeterminism as fast races.
 
     At decision points the repair-unit assignment is replaced by a race
@@ -385,34 +500,29 @@ def build_ctmc(
         raise ModelError("n argument and params.n disagree")
     if gamma <= 0.0:
         raise ModelError("gamma must be positive")
-    total = uniform_rate(params)
-    order, index = _explore(params, racing_decisions=True)
+    races = _Races(params)
+    # The chain drops the self-loops, so every race may list its own
+    # code last: a grabbed configuration is then a state even where its
+    # race needs no padding (failure rates below the float resolution
+    # of E(N)), and everywhere else the numbering is unchanged.
+    races.target[races.valid, _SELF] = races.codes[races.valid]
+    # Crucially, the failure clocks keep running while the "decision"
+    # is pending -- in a CTMC all transitions race.  These artificial
+    # interleavings (a component failing during the infinitesimal
+    # assignment delay, with the repair unit effectively idle) are
+    # exactly the paths the paper identifies as the cause of the
+    # CTMC's overestimation.  So every configuration races, and a
+    # decision point races its grabs at rate ``gamma`` as well.
+    own = np.where(races.valid, races.codes, -1)
+    order = races.explore(np.column_stack([races.grabs, own]))
+    state = _states(races, order)
 
-    transitions: list[tuple[int, int, float]] = []
-    for config in order:
-        src = index[config]
-        if config.is_decision_point():
-            # The high-rate decision race.  Crucially, the failure clocks
-            # keep running while the "decision" is pending -- in a CTMC
-            # all transitions race.  These artificial interleavings (a
-            # component failing during the infinitesimal assignment
-            # delay, with the repair unit effectively idle) are exactly
-            # the paths the paper identifies as the cause of the CTMC's
-            # overestimation.
-            for kind in config.failed_kinds():
-                transitions.append((src, index[config.with_repairing(kind)], gamma))
-            for target, rate in _race(config, params, total).items():
-                if target != config:
-                    transitions.append((src, index[target], rate))
-        else:
-            for target, rate in _race(config, params, total).items():
-                if target != config:  # drop the uniformisation self-loop
-                    transitions.append((src, index[target], rate))
-
-    # Note: with-repairing intermediate configurations are already states
-    # of the exploration (they are the non-decision flavours).
-    chain = CTMC.from_transitions(len(order), transitions, initial=0)
-    goal = np.array(
-        [not premium(c, n, quality_threshold) for c in order], dtype=bool
+    grabs = races.grabs[order]
+    columns = np.column_stack(
+        [state[grabs], state[races.target[order, :_SELF]]]  # no self-loop
     )
-    return chain, order, goal
+    rates = np.column_stack(
+        [np.where(grabs >= 0, float(gamma), 0.0), races.rate[order, :_SELF]]
+    )
+    chain = CTMC(rates=_csr_rows(columns, rates, len(order)), initial=0)
+    return chain, _Configs(order, n), _goal(order, n, quality_threshold)

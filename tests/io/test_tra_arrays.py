@@ -155,6 +155,9 @@ class TestHandWrittenBodies:
             ("1 a 1 2 1.0\n", {"initial": 0}),
             ("", {"states": 0, "choices": 0}),
             ("1 a 1 1 1.0\n", {"states": 0}),
+            ("1 a 1 1 1.0\n", {"states": "two"}),
+            ("1 a 1 1 1.0\n", {"choices": "x"}),
+            ("1 a 1 1 1.0\n", {"initial": "1.5"}),
         ],
     )
     def test_ctmdp_header(self, tmp_path, body, header):
@@ -183,6 +186,9 @@ class TestHandWrittenBodies:
 
     def test_ctmc_count_mismatch(self, tmp_path):
         assert_matches_oracle(ctmc_file(tmp_path, "1 2 1.0\n", transitions=3))
+
+    def test_ctmc_non_integer_count(self, tmp_path):
+        assert_matches_oracle(ctmc_file(tmp_path, "1 2 1.0\n", transitions="3.0"))
 
     @pytest.mark.parametrize(
         "path_of",

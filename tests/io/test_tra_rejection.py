@@ -7,9 +7,11 @@ dangling state index ever enters a constructed model.
 """
 
 import math
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ModelError
 from repro.io.tra import read_ctmc_tra, read_ctmdp_tra, scan_tra
 
@@ -121,3 +123,47 @@ class TestScannerLeniency:
         path.write_text("STATES 2\nTRANSITIONS 1\n1 2\n")
         with pytest.raises(ModelError, match="expected 'src dst rate'"):
             scan_tra(path)
+
+
+#: Headers whose count is not an integer, and the offending line.
+NON_INTEGER_HEADERS = {
+    "STATES two": "STATES two\nCHOICES 1\nINITIAL 1\n1 a 1 1 1.0\n",
+    "CHOICES x": "STATES 2\nCHOICES x\nINITIAL 1\n1 a 1 1 1.0\n",
+    "INITIAL 1.5": "STATES 2\nCHOICES 1\nINITIAL 1.5\n1 a 1 1 1.0\n",
+    "TRANSITIONS 3.0": "STATES 2\nTRANSITIONS 3.0\n1 2 1.0\n",
+}
+
+
+class TestHeaderCounts:
+    """A header count that is not an integer is a ``ModelError`` naming
+    the header line, not a bare ``ValueError`` from ``int()``."""
+
+    @pytest.mark.parametrize("line", NON_INTEGER_HEADERS)
+    def test_readers_name_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.tra"
+        path.write_text(NON_INTEGER_HEADERS[line])
+        for reader in (scan_tra, read_ctmc_tra, read_ctmdp_tra):
+            with pytest.raises(ModelError, match=f"header, got {re.escape(repr(line))}$"):
+                reader(path)
+
+    def test_lint_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.tra"
+        path.write_text(NON_INTEGER_HEADERS["STATES two"])
+        assert main(["lint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "expected 'STATES <n>' header, got 'STATES two'" in err
+        assert "invalid literal" not in err
+
+    def test_replay_against_it_is_a_usage_error(self, tmp_path, capsys):
+        policy = tmp_path / "max.rpol"
+        query = 'Pmax=? [ F<=20 "no_premium" ]'
+        assert main(["check", query, "--n", "1", "--save-policy", str(policy)]) == 3
+        prefix = tmp_path / "ftwc1"
+        assert main(["export", "--n", "1", "--out-prefix", str(prefix)]) == 0
+        model = prefix.with_suffix(".tra")
+        _states, rest = model.read_text().split("\n", 1)
+        model.write_text("STATES two\n" + rest)
+        capsys.readouterr()
+        code = main(["policy", "replay", str(policy), "--against", str(model)])
+        assert code == 2  # a usage error; 1 would mean an unhealthy replay
+        assert "'STATES two'" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Oracle for :mod:`repro.io.tra`'s ``.tra`` scanner and strict readers.
+"""Oracle for :mod:`repro.io.tra`'s ``.tra`` writers, scanner and strict readers.
 
 Production code parses the body of a ``.tra`` file with one
 ``numpy.loadtxt`` call into structured columns and builds the model's
@@ -11,6 +11,12 @@ tuples.  The production readers must return its models bitwise
 Where they differ on purpose, numpy's number grammar is narrower:
 Python's ``int`` and ``float`` accept ``_`` digit separators
 (``1_000``) and integers of any size.
+
+Production code writes a body with one ``join`` over per-entry strings
+assembled from tokens formatted once per row, state and distinct rate.
+:func:`write_ctmc_tra` and :func:`write_ctmdp_tra` here are the
+per-entry writers they replaced, one f-string and one ``float.__repr__``
+per entry; the production writers must write their bytes.
 """
 
 from __future__ import annotations
@@ -53,26 +59,51 @@ def _parse_index(token: str, line: str) -> int:
         raise ModelError(f"unparseable state index {token!r} in line {line!r}") from None
 
 
-def _expect_header(handle: TextIO, keyword: str) -> int:
+def _expect_header(handle: TextIO, *keywords: str) -> tuple[str, int]:
+    """The keyword and count of the next line, which must be one of
+    ``keywords`` followed by an integer."""
     line = handle.readline().strip()
     parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise ModelError(f"expected '{keyword} <n>' header, got {line!r}")
-    return int(parts[1])
+    if len(parts) == 2 and parts[0] in keywords:
+        try:
+            return parts[0], int(parts[1])
+        except ValueError:
+            pass
+    expected = " or ".join(f"'{keyword} <n>'" for keyword in keywords)
+    raise ModelError(f"expected {expected} header, got {line!r}")
+
+
+def write_ctmc_tra(ctmc: CTMC, path: str | Path) -> None:
+    """Write a CTMC in ETMCC ``.tra`` format, one f-string per entry."""
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(f"STATES {ctmc.num_states}\n")
+        handle.write(f"TRANSITIONS {ctmc.num_transitions}\n")
+        matrix = ctmc.rates.tocoo()
+        for src, dst, rate in zip(matrix.row, matrix.col, matrix.data):
+            handle.write(f"{src + 1} {dst + 1} {float(rate)!r}\n")
+
+
+def write_ctmdp_tra(ctmdp: CTMDP, path: str | Path) -> None:
+    """Write a CTMDP, one f-string per rate entry."""
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(f"STATES {ctmdp.num_states}\n")
+        handle.write(f"CHOICES {ctmdp.num_transitions}\n")
+        handle.write(f"INITIAL {ctmdp.initial + 1}\n")
+        matrix = ctmdp.rate_matrix
+        for row in range(ctmdp.num_transitions):
+            src = int(ctmdp.sources[row])
+            action = ctmdp.labels[row]
+            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+            for dst, rate in zip(matrix.indices[lo:hi], matrix.data[lo:hi]):
+                handle.write(f"{row + 1} {action} {src + 1} {int(dst) + 1} {float(rate)!r}\n")
 
 
 def scan_tra(path: str | Path) -> OracleScan:
     """Read a ``.tra`` file into raw records, one line at a time."""
     with open(path, "r", encoding="ascii") as handle:
-        num_states = _expect_header(handle, "STATES")
-        second = handle.readline().strip()
-        parts = second.split()
-        if len(parts) != 2 or parts[0] not in ("TRANSITIONS", "CHOICES"):
-            raise ModelError(
-                f"expected 'TRANSITIONS <n>' or 'CHOICES <n>' header, got {second!r}"
-            )
-        declared = int(parts[1])
-        if parts[0] == "TRANSITIONS":
+        num_states = _expect_header(handle, "STATES")[1]
+        keyword, declared = _expect_header(handle, "TRANSITIONS", "CHOICES")
+        if keyword == "TRANSITIONS":
             ctmc_entries: list[tuple[int, int, float]] = []
             for line in handle:
                 line = line.strip()
@@ -95,7 +126,7 @@ def scan_tra(path: str | Path) -> OracleScan:
                 declared=declared,
                 ctmc_entries=ctmc_entries,
             )
-        initial = _expect_header(handle, "INITIAL") - 1
+        initial = _expect_header(handle, "INITIAL")[1] - 1
         ctmdp_entries: list[tuple[int, str, int, int, float]] = []
         for line in handle:
             line = line.strip()
