@@ -7,8 +7,6 @@ from repro.analysis.experiments import (
     Table1Row,
     compositional_row,
     figure4_curves,
-    run_figure4,
-    run_table1,
     table1_row,
 )
 from repro.analysis.report import ReportScale, generate_report, write_report
@@ -35,8 +33,6 @@ __all__ = [
     "Table1Row",
     "compositional_row",
     "figure4_curves",
-    "run_figure4",
-    "run_table1",
     "table1_row",
     "CheckOutcome",
     "run_selfcheck",

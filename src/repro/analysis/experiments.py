@@ -1,9 +1,9 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-* :func:`table1_row` / :func:`run_table1` -- Table 1: model sizes,
+* :func:`table1_row` -- one row of Table 1: model sizes,
   memory, transformation/generation time, analysis runtime and iteration
   counts for time bounds of 100 h and 30000 h at precision 1e-6.
-* :func:`figure4_curves` / :func:`run_figure4` -- Figure 4: worst-case
+* :func:`figure4_curves` -- one panel of Figure 4: worst-case
   CTMDP probabilities versus the probabilities of the CTMC
   approximation of [13], over a sweep of time bounds.
 * :func:`compositional_row` -- the "Technicalities" paragraph of
@@ -30,10 +30,8 @@ from repro.numerics.foxglynn import poisson_right_truncation
 __all__ = [
     "Table1Row",
     "table1_row",
-    "run_table1",
     "Figure4Curves",
     "figure4_curves",
-    "run_figure4",
     "CompositionalRow",
     "compositional_row",
     "PAPER_TABLE1",
@@ -138,25 +136,6 @@ def table1_row(
     return row
 
 
-def run_table1(
-    ns: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128),
-    time_bounds: tuple[float, ...] = (100.0, 30000.0),
-    solve_bounds: tuple[float, ...] | None = (100.0,),
-    epsilon: float = 1e-6,
-    engine: QueryEngine | None = None,
-) -> list[Table1Row]:
-    """All rows of Table 1.
-
-    By default only the 100 h bound is solved (the 30000 h iteration
-    counts are still reported exactly); pass ``solve_bounds=None`` to
-    solve every bound.  All rows share one query engine (one registry),
-    so re-running a table against a warm registry re-solves nothing it
-    has seen before.
-    """
-    engine = engine if engine is not None else QueryEngine()
-    return [table1_row(n, time_bounds, solve_bounds, epsilon, engine=engine) for n in ns]
-
-
 @dataclass
 class Figure4Curves:
     """The curves of one Figure 4 panel."""
@@ -212,26 +191,6 @@ def figure4_curves(
     return Figure4Curves(
         n=n, time_points=ts, ctmdp_max=ctmdp_max, ctmdp_min=ctmdp_min, ctmc=ctmc, gamma=gamma
     )
-
-
-def run_figure4(
-    small_n: int = 4,
-    large_n: int = 16,
-    time_points: tuple[float, ...] = tuple(float(t) for t in range(0, 501, 50)),
-    gamma: float = 10.0,
-    engine: QueryEngine | None = None,
-) -> list[Figure4Curves]:
-    """Both panels of Figure 4.
-
-    The paper plots N=4 and N=128; the default large panel here is N=16
-    so the figure regenerates in minutes rather than days -- pass
-    ``large_n=128`` for the full-size run.
-    """
-    engine = engine if engine is not None else QueryEngine()
-    return [
-        figure4_curves(small_n, time_points, gamma, engine=engine),
-        figure4_curves(large_n, time_points, gamma, engine=engine),
-    ]
 
 
 @dataclass

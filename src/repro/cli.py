@@ -6,7 +6,7 @@ Usage examples::
     repro figure4 --n 4 --t-max 500 --points 11
     repro compositional --ns 1 2
     repro export --n 2 --out-prefix /tmp/ftwc2
-    repro batch queries.json --workers 4
+    repro batch queries.json
     repro serve --cache-dir ~/.cache/repro
     repro lint --model ftwc -n 1
     repro lint model.tra --format json --strict
@@ -213,12 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write the result document here (default: stdout)"
     )
     batch.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan model groups out over this many worker processes",
-    )
-    batch.add_argument(
         "--timeout", type=float, default=None, help="per-query wall-clock budget (s)"
     )
     add_save_policy_option(batch)
@@ -250,21 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the raw span trace as JSONL to this path",
     )
-    profile.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan model groups out over worker processes (their spans are "
-        "merged back into the profile trace)",
-    )
-    profile.add_argument(
-        "--ns",
-        type=int,
-        nargs="+",
-        default=None,
-        help="profile a batch over these cluster sizes instead of a single "
-        "--n query (needed to engage the worker pool)",
-    )
     _add_cache_arguments(profile)
 
     serve = sub.add_parser(
@@ -276,17 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, help="per-query wall-clock budget (s)"
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan batch-request model groups out over worker processes",
-    )
-    serve.add_argument(
         "--http-port",
         type=int,
         default=None,
-        help="additionally expose /metrics, /healthz and /traces over HTTP "
-        "on this port (0 picks a free port)",
+        help="additionally expose /metrics and /healthz over HTTP on this "
+        "port (0 picks a free port)",
     )
     serve.add_argument(
         "--http-host",
@@ -294,38 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address for --http-port (default: 127.0.0.1)",
     )
     _add_cache_arguments(serve)
-
-    obs_server = sub.add_parser(
-        "obs-server",
-        help="standalone HTTP telemetry server (/metrics, /healthz, "
-        "/traces), optionally primed by answering a query workload",
-    )
-    obs_server.add_argument(
-        "--port", type=int, default=8943, help="TCP port (0 picks a free port)"
-    )
-    obs_server.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    obs_server.add_argument(
-        "--queries",
-        default=None,
-        help="answer this batch file (JSON, same shape as 'repro batch') "
-        "under tracing before serving, so the endpoints have data",
-    )
-    obs_server.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="serve for this many seconds, then exit cleanly "
-        "(default: until interrupted)",
-    )
-    obs_server.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the --queries workload",
-    )
-    _add_cache_arguments(obs_server)
 
     bench = sub.add_parser(
         "bench",
@@ -712,11 +653,7 @@ def _make_engine(args: argparse.Namespace):
         cache_dir = args.cache_dir
     else:
         cache_dir = str(default_cache_dir())
-    return QueryEngine(
-        cache_dir=cache_dir,
-        workers=getattr(args, "workers", None),
-        timeout=getattr(args, "timeout", None),
-    )
+    return QueryEngine(cache_dir=cache_dir, timeout=args.timeout)
 
 
 def _read_batch_file(path: str) -> tuple[list, Any] | None:
@@ -813,8 +750,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             goal=args.goal,
             track_allocations=args.allocations,
             cache_dir=cache_dir,
-            workers=args.workers,
-            ns=args.ns,
         )
     except (ReproError, RuntimeError) as exc:
         print(f"profile failed: {exc}", file=sys.stderr)
@@ -834,53 +769,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         http_port=args.http_port,
         http_host=args.http_host,
     )
-
-
-def _cmd_obs_server(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.obs import tracing
-    from repro.obs.http import SpanLog, TelemetryServer
-
-    engine = _make_engine(args)
-    span_log = SpanLog()
-    try:
-        server = TelemetryServer(
-            engine.metrics, host=args.host, port=args.port, span_log=span_log
-        )
-    except OSError as exc:
-        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 1
-    server.start()
-    print(
-        f"telemetry listening on {server.url} "
-        "(endpoints: /metrics /healthz /traces)",
-        file=sys.stderr,
-    )
-    try:
-        if args.queries:
-            batch_file = _read_batch_file(args.queries)
-            if batch_file is None:
-                return 2
-            records, defaults = batch_file
-            with tracing() as tracer:
-                batch = engine.run_dicts(records, defaults=defaults)
-            span_log.extend(tracer.as_dicts())
-            print(
-                f"answered {len(batch.results)} queries "
-                f"({batch.num_failed} failed)",
-                file=sys.stderr,
-            )
-        if args.duration is not None:
-            time.sleep(max(0.0, args.duration))
-        else:  # pragma: no cover - interactive path
-            while True:
-                time.sleep(3600.0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.stop()
-    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -945,7 +833,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "batch": _cmd_batch,
         "profile": _cmd_profile,
         "serve": _cmd_serve,
-        "obs-server": _cmd_obs_server,
         "bench": _cmd_bench,
         "policy": _cmd_policy,
     }

@@ -14,8 +14,8 @@ This subsystem turns the pipeline into an engine:
   by shared ``(model, goal, objective)`` setup, sort each group by time
   bound.
 * :mod:`repro.engine.solver` -- batched execution against prepared
-  solvers, bitwise-equal to one-shot analysis, with process-pool
-  fan-out, per-query timeouts and per-query error capture.
+  solvers, bitwise-equal to one-shot analysis, with per-query
+  timeouts and per-query error capture.
 * :mod:`repro.engine.metrics` -- counters and timers surfaced on every
   batch and dumpable as JSON.
 * :mod:`repro.engine.serve` -- the JSON-lines request loop behind

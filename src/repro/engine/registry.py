@@ -36,7 +36,7 @@ from repro.core.ctmdp import CTMDP
 from repro.core.reachability import PreparedTimedReachability
 from repro.ctmc.model import CTMC
 from repro.ctmc.reachability import PreparedCTMCReachability
-from repro.engine.keys import canonical_json, model_key, normalize_spec
+from repro.engine.keys import model_key, normalize_spec
 from repro.engine.metrics import EngineMetrics
 from repro.errors import ModelError
 from repro.io.tra import read_ctmc_tra, read_ctmdp_tra, write_ctmc_tra, write_ctmdp_tra
@@ -44,7 +44,7 @@ from repro.lint.sanitize import sanitize_enabled, sanitize_model
 from repro.models import ftwc, ftwc_direct
 from repro.obs import span
 
-__all__ = ["BuiltModel", "ModelRegistry", "default_cache_dir", "describe_spec"]
+__all__ = ["BuiltModel", "ModelRegistry", "default_cache_dir"]
 
 _META_FORMAT = "repro-engine-cache"
 _META_VERSION = 1
@@ -417,8 +417,3 @@ class ModelRegistry:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = str(self.cache_dir) if self.cache_dir is not None else "memory-only"
         return f"ModelRegistry({len(self)} in memory, cache={where})"
-
-
-def describe_spec(spec: Mapping[str, Any]) -> str:
-    """One-line human-readable rendering of a (normalised) spec."""
-    return canonical_json(spec)

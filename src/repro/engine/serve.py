@@ -88,7 +88,7 @@ def serve(
 
     With ``http_port`` set, a :class:`repro.obs.http.TelemetryServer`
     additionally exposes the session's metrics over HTTP (``/metrics``,
-    ``/healthz``, ``/traces``) for the lifetime of the loop; ``0`` binds
+    ``/healthz``) for the lifetime of the loop; ``0`` binds
     an ephemeral port.  The listener is shut down gracefully when the
     loop ends, whichever way it ends.
     """

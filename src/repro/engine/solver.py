@@ -13,14 +13,11 @@ to independent :func:`repro.core.reachability.timed_reachability` calls
 
 Failure isolation: a query that raises (unknown goal label, numerical
 failure, per-query timeout) produces an *error record*; the rest of the
-batch is unaffected.  Groups over different models can fan out across a
-process pool (``workers > 1``); each worker resolves its model through
-the shared on-disk cache and ships its metrics back for aggregation.
+batch is unaffected.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -33,14 +30,7 @@ from repro.engine.metrics import EngineMetrics
 from repro.engine.plan import Query, QueryGroup, plan_queries, query_from_dict
 from repro.engine.registry import BuiltModel, ModelRegistry
 from repro.lint.sanitize import sanitize_enabled, sanitize_model
-from repro.obs import (
-    NumericalCertificate,
-    current_tracer,
-    record_certificate,
-    reset_subprocess_tracer,
-    span,
-    tracing,
-)
+from repro.obs import NumericalCertificate, record_certificate, span
 
 __all__ = [
     "QueryResult",
@@ -62,8 +52,7 @@ def _time_limit(seconds: float | None) -> Iterator[None]:
 
     Implemented with ``SIGALRM``/``setitimer``, which only works on the
     main thread of a POSIX process; elsewhere (or with no limit) the
-    body runs unguarded.  Process-pool workers execute tasks on their
-    main thread, so per-query timeouts hold there too.
+    body runs unguarded.
     """
     usable = (
         seconds is not None
@@ -314,43 +303,9 @@ def _solve_group(
     return results
 
 
-def _worker_solve_group(
-    group: QueryGroup,
-    cache_dir: str | None,
-    timeout: float | None,
-    trace_id: str | None = None,
-) -> tuple[list[QueryResult], dict, dict | None]:
-    """Process-pool entry point: solve one group in a fresh registry.
-
-    The worker shares only the on-disk cache with the parent; its
-    metrics snapshot is returned for aggregation.  When the parent runs
-    under tracing it passes its ``trace_id``; the worker then records
-    its own spans under that id and ships them back as the third tuple
-    element (spans, the worker tracer's activation epoch, and the
-    worker pid) for :meth:`Tracer.adopt` in the parent.
-    """
-    # A fork-started worker inherits the parent's active tracer in the
-    # module global; spans recorded there would vanish with the worker.
-    reset_subprocess_tracer()
-    registry = ModelRegistry(cache_dir=cache_dir)
-    payload = None
-    if trace_id is None:
-        results = _solve_group(registry, group, timeout)
-    else:
-        with tracing(trace_id=trace_id) as tracer:
-            results = _solve_group(registry, group, timeout)
-            payload = {
-                "spans": tracer.as_dicts(),
-                "origin_epoch": tracer.origin_epoch,
-                "pid": os.getpid(),
-            }
-    return results, registry.metrics.as_dict(), payload
-
-
 def run_batch(
     queries: Iterable[Query],
     registry: ModelRegistry | None = None,
-    workers: int | None = None,
     timeout: float | None = None,
     record_schedulers: bool = False,
 ) -> BatchResult:
@@ -363,10 +318,6 @@ def run_batch(
     registry:
         Model cache to resolve specs through; a fresh memory-only
         registry by default.
-    workers:
-        With ``workers > 1`` and more than one model group, groups fan
-        out over a process pool of that size.  Workers share the
-        registry's *disk* cache (when configured) but not its memory.
     timeout:
         Optional per-query wall-clock budget in seconds; an overrunning
         query yields an error record, the batch continues.
@@ -381,50 +332,9 @@ def run_batch(
     groups = plan_queries(batch, record_schedulers=record_schedulers)
 
     slots: list[QueryResult | None] = [None] * len(batch)
-    if workers is not None and workers > 1 and len(groups) > 1:
-        import concurrent.futures
-        import multiprocessing
-
-        cache_dir = str(registry.cache_dir) if registry.cache_dir is not None else None
-        # Fork (where available) avoids re-importing __main__ in workers
-        # and starts orders of magnitude faster; spawn is the fallback.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        pool_size = min(workers, len(groups))
-        parent_tracer = current_tracer()
-        trace_id = parent_tracer.trace_id if parent_tracer is not None else None
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=context
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _worker_solve_group,
-                    group,
-                    cache_dir,
-                    timeout,
-                    trace_id,
-                ): group
-                for group in groups
-            }
-            for future in concurrent.futures.as_completed(futures):
-                group = futures[future]
-                try:
-                    results, worker_metrics, trace_payload = future.result()
-                    metrics.merge(worker_metrics)
-                    if parent_tracer is not None and trace_payload is not None:
-                        parent_tracer.adopt(
-                            trace_payload["spans"],
-                            origin_epoch=trace_payload["origin_epoch"],
-                            attributes={"worker_pid": trace_payload["pid"]},
-                        )
-                except Exception as exc:
-                    results = _error_results(group, f"worker failed: {exc}")
-                for result in results:
-                    slots[result.index] = result
-    else:
-        for group in groups:
-            for result in _solve_group(registry, group, timeout):
-                slots[result.index] = result
+    for group in groups:
+        for result in _solve_group(registry, group, timeout):
+            slots[result.index] = result
 
     results = [slot for slot in slots if slot is not None]
     metrics.count("queries_total", len(results))
@@ -438,7 +348,6 @@ def run_batch_dicts(
     records: Sequence[Mapping[str, Any]],
     defaults: Mapping[str, Any] | None = None,
     registry: ModelRegistry | None = None,
-    workers: int | None = None,
     timeout: float | None = None,
     record_schedulers: bool = False,
 ) -> BatchResult:
@@ -460,7 +369,6 @@ def run_batch_dicts(
     inner = run_batch(
         [query for _index, query in parsed],
         registry=registry,
-        workers=workers,
         timeout=timeout,
         record_schedulers=record_schedulers,
     )
@@ -495,13 +403,11 @@ class QueryEngine:
         self,
         registry: ModelRegistry | None = None,
         cache_dir: str | None = None,
-        workers: int | None = None,
         timeout: float | None = None,
     ) -> None:
         if registry is None:
             registry = ModelRegistry(cache_dir=cache_dir)
         self.registry = registry
-        self.workers = workers
         self.timeout = timeout
 
     @property
@@ -520,7 +426,6 @@ class QueryEngine:
         return run_batch(
             queries,
             registry=self.registry,
-            workers=self.workers,
             timeout=self.timeout,
             record_schedulers=record_schedulers,
         )
@@ -536,7 +441,6 @@ class QueryEngine:
             records,
             defaults=defaults,
             registry=self.registry,
-            workers=self.workers,
             timeout=self.timeout,
             record_schedulers=record_schedulers,
         )

@@ -30,8 +30,8 @@ Two passes over the Python sources of the package itself:
 
 A class declares its lock discipline as data::
 
-    class SpanLog:
-        _guarded_by = {"_lock": ("_records",)}
+    class ModelRegistry:
+        _guarded_by = {"_lock": ("_memory",)}
 
 Declarations are inherited (``EngineMetrics(MetricStore)`` needs no
 re-declaration) and a subclass may extend its parent's.

@@ -129,8 +129,9 @@ class FTWCParameters:
         if self.n < 1:
             raise ModelError("the FTWC needs at least one workstation per sub-cluster")
         for name in ("ws_fail", "sw_fail", "bb_fail", "ws_repair", "sw_repair", "bb_repair"):
-            if getattr(self, name) <= 0.0:
-                raise ModelError(f"{name} must be positive")
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise ModelError(f"{name} must be finite and positive, got {rate!r}")
 
     def fail_rate(self, kind: str) -> float:
         """Failure rate of one component of ``kind``."""

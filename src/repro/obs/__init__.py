@@ -6,22 +6,19 @@ goal is measured against:
 * :mod:`repro.obs.tracer` -- nested spans (wall/CPU time, allocation
   deltas) with a near-zero-cost disabled path; the pipeline's phase
   boundaries are instrumented through :func:`span` and the backward
-  sweeps through :func:`sweep_span`; worker spans merge back into the
-  parent trace via :meth:`Tracer.adopt`;
+  sweeps through :func:`sweep_span`;
 * :mod:`repro.obs.metrics` -- the counter/timer/gauge/histogram store
-  the engine's ``EngineMetrics`` is built on (thread-safe, mergeable
-  across processes);
+  the engine's ``EngineMetrics`` is built on (thread-safe);
 * :mod:`repro.obs.certificate` -- numerical-health certificates
   (Fox-Glynn truncation accounting, sweep residuals, certified error
   bounds) attached to every solver result;
 * :mod:`repro.obs.export` -- JSONL trace export and the Prometheus
   text exposition served by ``repro serve`` and the HTTP endpoint;
 * :mod:`repro.obs.http` -- the stdlib HTTP telemetry server
-  (``/metrics``, ``/healthz``, ``/traces``); imported lazily by the
-  CLI, not re-exported here;
-* :mod:`repro.obs.profile` -- ``repro profile``, a one-query (or
-  fanned-out batch) run under tracing rendered as a phase-attributed
-  breakdown (imported lazily by the CLI; not re-exported here to keep
+  (``/metrics``, ``/healthz``); imported lazily by the CLI, not
+  re-exported here;
+* :mod:`repro.obs.profile` -- ``repro profile``, a one-query run under
+  tracing rendered as a phase-attributed breakdown (imported lazily by the CLI; not re-exported here to keep
   ``repro.obs`` import-light for the hot path).
 
 See ``docs/observability.md`` for the span and metric glossary.
@@ -42,7 +39,6 @@ from repro.obs.tracer import (
     StepRecorder,
     Tracer,
     current_tracer,
-    reset_subprocess_tracer,
     span,
     summarize_durations,
     sweep_span,
@@ -66,7 +62,6 @@ __all__ = [
     "prometheus_exposition",
     "read_jsonl",
     "record_certificate",
-    "reset_subprocess_tracer",
     "span",
     "summarize_durations",
     "sweep_span",

@@ -323,8 +323,7 @@ def record_certificate(metrics: "MetricStore", certificate: NumericalCertificate
     """Export one certificate into a :class:`MetricStore`.
 
     Counters track volume and degradation, gauges keep the latest and
-    worst bounds (``_max`` gauges merge by maximum across worker
-    snapshots), and the histograms feed the ``/metrics`` exposition.
+    worst bounds, and the histograms feed the ``/metrics`` exposition.
     """
     metrics.count("certificates_total")
     if not certificate.healthy:
@@ -342,10 +341,8 @@ def record_certificate(metrics: "MetricStore", certificate: NumericalCertificate
 def health_summary(metrics: "MetricStore") -> dict[str, Any]:
     """Certificate-derived health verdict (the ``/healthz`` payload).
 
-    Derived entirely from the metric store so it stays correct across
-    process-pool fan-out: worker certificates arrive through the
-    ordinary metric merge.  With no certificates issued yet the status
-    is ``"ok"`` (an idle server is healthy).
+    Derived entirely from the metric store.  With no certificates
+    issued yet the status is ``"ok"`` (an idle server is healthy).
     """
     total = metrics.counter("certificates_total")
     degraded = metrics.counter("certificates_degraded")

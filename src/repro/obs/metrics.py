@@ -2,9 +2,9 @@
 
 :class:`MetricStore` is the metric primitive the whole observability
 layer sits on: a bag of named monotonic counters, accumulated timers,
-point-in-time gauges and fixed-bucket histograms, mergeable across
-processes and serialisable as JSON or in the Prometheus text exposition
-format (see :mod:`repro.obs.export`).  The engine's
+point-in-time gauges and fixed-bucket histograms, serialisable as JSON
+or in the Prometheus text exposition format (see
+:mod:`repro.obs.export`).  The engine's
 :class:`~repro.engine.metrics.EngineMetrics` is this class under its
 historical name; the counter/timer glossary the engine uses lives in
 ``docs/observability.md``.
@@ -22,7 +22,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 __all__ = ["DEFAULT_BUCKETS", "Histogram", "MetricStore"]
 
@@ -69,20 +69,6 @@ class Histogram:
         else:
             self.counts[-1] += 1
         self.sum += float(value)
-
-    def merge(self, other: "Histogram | Mapping") -> None:
-        """Fold another histogram (same bounds) into this one."""
-        if not isinstance(other, Histogram):
-            other = Histogram(
-                bounds=tuple(other.get("bounds", DEFAULT_BUCKETS)),
-                counts=list(other.get("counts", [])),
-                sum=float(other.get("sum", 0.0)),
-            )
-        if tuple(other.bounds) != tuple(self.bounds):
-            raise ValueError("cannot merge histograms with different bucket bounds")
-        for slot, count in enumerate(other.counts):
-            self.counts[slot] += int(count)
-        self.sum += other.sum
 
     def as_dict(self) -> dict:
         return {"bounds": list(self.bounds), "counts": list(self.counts),
@@ -135,9 +121,8 @@ class MetricStore:
 
         Names ending in ``_max`` / ``_min`` carry running-extremum
         semantics: setting them keeps the larger / smaller of the old
-        and new value, and cross-process merges do the same.  This is
-        how ``certificate_error_bound_max`` stays meaningful when
-        worker snapshots are folded into the parent store.
+        and new value.  This is how ``certificate_error_bound_max``
+        holds the worst bound of every query answered so far.
         """
         with self._lock:
             self.gauges[name] = _gauge_update(name, self.gauges.get(name), float(value))
@@ -176,50 +161,6 @@ class MetricStore:
             yield
         finally:
             self.add_time(name, time.perf_counter() - started)
-
-    def merge(self, other: "MetricStore | Mapping") -> None:
-        """Fold another store (or its ``as_dict`` form) into this one.
-
-        Used to aggregate the metrics of process-pool workers into the
-        parent's collector.  Counters, timers and histograms add;
-        gauges take the incoming value (with the ``_max``/``_min``
-        extremum rule of :meth:`gauge`); infos overwrite.
-
-        The snapshot applies all or nothing: it is validated in full
-        (including every histogram's bucket bounds) before anything is
-        mutated, and then applied under one acquisition of the lock, so
-        a concurrent reader sees either none of it or all of it.
-        """
-        snapshot = other.as_dict() if isinstance(other, MetricStore) else other
-        counters = {name: int(value) for name, value in snapshot.get("counters", {}).items()}
-        timers = {name: float(value) for name, value in snapshot.get("timers", {}).items()}
-        gauges = {name: float(value) for name, value in snapshot.get("gauges", {}).items()}
-        infos = {name: dict(labels) for name, labels in snapshot.get("infos", {}).items()}
-        histograms: dict[str, Histogram] = {}
-        for name, data in snapshot.get("histograms", {}).items():
-            bounds = data["bounds"] if isinstance(data, Mapping) else data.bounds
-            staged = Histogram(bounds=tuple(bounds))
-            staged.merge(data)
-            histograms[name] = staged
-        with self._lock:
-            for name, histogram in histograms.items():
-                existing = self.histograms.get(name)
-                if existing is not None and tuple(existing.bounds) != histogram.bounds:
-                    raise ValueError(
-                        f"cannot merge histogram {name!r}: different bucket bounds"
-                    )
-            for name, increment in counters.items():
-                self.counters[name] = self.counters.get(name, 0) + increment
-            for name, seconds in timers.items():
-                self.timers[name] = self.timers.get(name, 0.0) + seconds
-            for name, value in gauges.items():
-                self.gauges[name] = _gauge_update(name, self.gauges.get(name), value)
-            for name, histogram in histograms.items():
-                if name in self.histograms:
-                    self.histograms[name].merge(histogram)
-                else:
-                    self.histograms[name] = histogram
-            self.infos.update(infos)
 
     # ------------------------------------------------------------------
     # Reading

@@ -91,45 +91,25 @@ def profile_query(
     goal: str = "no_premium",
     track_allocations: bool = False,
     cache_dir: str | None = None,
-    workers: int | None = None,
-    ns: list[int] | None = None,
 ) -> ProfileReport:
-    """Run one (or a fan of) traced queries and return the report.
+    """Run one traced query and return the report.
 
     A fresh engine is used so the profile always includes the build
     phase (unless ``cache_dir`` points at a warm disk cache, in which
     case the profile shows the disk-load path instead -- itself a
     useful measurement).
-
-    With ``ns`` (a list of cluster sizes) the profile runs one query per
-    size in a single batch; combined with ``workers > 1`` the model
-    groups fan out over the engine's process pool, and the report's
-    trace contains the worker-side spans adopted back into the parent
-    trace (recognisable by their ``worker_pid`` attribute).  The header
-    reports the first query's answer.
     """
     from repro.engine.plan import Query
     from repro.engine.solver import QueryEngine
 
-    sizes = [int(size) for size in ns] if ns else [n]
-    engine = QueryEngine(cache_dir=cache_dir, workers=workers)
-    spec: dict[str, Any] = {"family": family, "n": sizes[0] if len(sizes) == 1 else sizes}
-    queries = [
-        Query(
-            model={"family": family, "n": size},
-            t=t,
-            epsilon=epsilon,
-            goal=goal,
-            objective=objective,
-        )
-        for size in sizes
-    ]
+    engine = QueryEngine(cache_dir=cache_dir)
+    spec: dict[str, Any] = {"family": family, "n": n}
+    query = Query(model=spec, t=t, epsilon=epsilon, goal=goal, objective=objective)
     with tracing(track_allocations=track_allocations) as tracer:
-        batch = engine.run(queries)
-    failed = [result for result in batch.results if not result.ok]
-    if failed:
-        raise RuntimeError(f"profiled query failed: {failed[0].error}")
+        batch = engine.run([query])
     result = batch.results[0]
+    if not result.ok:
+        raise RuntimeError(f"profiled query failed: {result.error}")
     return ProfileReport(
         spec=spec,
         goal=goal,

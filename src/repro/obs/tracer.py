@@ -23,11 +23,9 @@ is activated for a lexical scope with :func:`tracing`::
     tracer.render_tree()      # indented phase breakdown
     tracer.write_jsonl(path)  # one span per line, for external tooling
 
-Traces span process boundaries: every tracer carries a ``trace_id`` and
-every span a process-qualified ``span_id``, so spans recorded inside a
-process-pool worker (under the *parent's* trace id) can be serialised
-with the query result and re-attached to the parent tracer via
-:meth:`Tracer.adopt` -- the ids stay stable across the hop.
+Every tracer carries a random ``trace_id`` and every span a
+process-qualified ``span_id`` (``<trace_id>:<pid hex>:<index>``), so
+JSONL files written by several runs or processes stay separable.
 
 Per-*step* instrumentation inside the backward iteration does not
 create one span per step (the FTWC horizons reach tens of thousands of
@@ -49,7 +47,7 @@ import tracemalloc
 import uuid
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, ContextManager, Iterable, Iterator, Mapping
+from typing import Any, ContextManager, Iterator
 
 __all__ = [
     "Span",
@@ -57,7 +55,6 @@ __all__ = [
     "Tracer",
     "tracing",
     "current_tracer",
-    "reset_subprocess_tracer",
     "span",
     "sweep_span",
     "summarize_durations",
@@ -92,7 +89,7 @@ class Span:
         exception type and message land in the ``error`` attribute).
     span_id / parent_span_id:
         Stable identifiers of the form ``<trace_id>:<pid>:<index>``;
-        they survive serialisation and cross-process adoption.
+        they survive serialisation.
     """
 
     name: str
@@ -150,20 +147,15 @@ class Tracer:
     """Collects spans for one traced scope.
 
     Not thread-safe: one tracer belongs to one analysis thread, which
-    matches how the engine runs.  Process-pool workers each run their
-    own tracer (under the parent's ``trace_id``) and the parent folds
-    their serialised spans back in with :meth:`adopt`.
+    matches how the engine runs.
     """
 
-    def __init__(self, track_allocations: bool = False, trace_id: str | None = None) -> None:
+    def __init__(self, track_allocations: bool = False) -> None:
         self.spans: list[Span] = []
         self.track_allocations = track_allocations
-        self.trace_id = trace_id if trace_id else uuid.uuid4().hex[:16]
+        self.trace_id = uuid.uuid4().hex[:16]
         self._stack: list[Span] = []
         self._origin = time.perf_counter()
-        #: Epoch timestamp of activation; lets :meth:`adopt` place spans
-        #: from another process on this tracer's timeline.
-        self.origin_epoch = time.time()
         self._owns_tracemalloc = False
         if track_allocations and not tracemalloc.is_tracing():
             tracemalloc.start()
@@ -219,56 +211,6 @@ class Tracer:
             if self.track_allocations and tracemalloc.is_tracing():
                 record.alloc_bytes = tracemalloc.get_traced_memory()[0] - alloc_before
             self._stack.pop()
-
-    def adopt(
-        self,
-        records: Iterable[Mapping[str, Any]],
-        origin_epoch: float | None = None,
-        attributes: Mapping[str, Any] | None = None,
-    ) -> list[Span]:
-        """Attach serialised spans from another process to this trace.
-
-        ``records`` is the ``as_dicts()`` output of the remote tracer
-        (typically a process-pool worker running under this tracer's
-        ``trace_id``).  Span/parent *indices* are remapped into this
-        tracer's span list while the stable ``span_id`` strings are
-        kept verbatim, so JSONL exports reference the same ids the
-        worker logged.  ``origin_epoch`` (the remote tracer's
-        activation timestamp) aligns ``started_at`` offsets onto this
-        tracer's timeline; ``attributes`` (e.g. the worker pid) are
-        merged into every adopted span.
-        """
-        offset = 0.0
-        if origin_epoch is not None:
-            offset = origin_epoch - self.origin_epoch
-        index_map: dict[int, int] = {}
-        adopted: list[Span] = []
-        for record in records:
-            old_index = int(record["index"])
-            new_index = len(self.spans)
-            index_map[old_index] = new_index
-            old_parent = record.get("parent")
-            new_parent = index_map.get(old_parent) if old_parent is not None else None
-            merged_attributes = dict(record.get("attributes") or {})
-            if attributes:
-                merged_attributes.update(attributes)
-            span_record = Span(
-                name=str(record["name"]),
-                index=new_index,
-                parent=new_parent,
-                depth=int(record.get("depth", 0)),
-                attributes=merged_attributes,
-                started_at=float(record.get("started_at", 0.0)) + offset,
-                wall_seconds=float(record.get("wall_seconds", 0.0)),
-                cpu_seconds=float(record.get("cpu_seconds", 0.0)),
-                alloc_bytes=record.get("alloc_bytes"),
-                status=str(record.get("status", "ok")),
-                span_id=str(record.get("span_id") or self._span_id(new_index)),
-                parent_span_id=record.get("parent_span_id"),
-            )
-            self.spans.append(span_record)
-            adopted.append(span_record)
-        return adopted
 
     # ------------------------------------------------------------------
     # Reading
@@ -356,7 +298,7 @@ class Tracer:
         return f"Tracer({len(self.spans)} spans, {self.total_wall_seconds():.4f}s)"
 
 
-_INLINE_ATTRIBUTES = ("t", "objective", "lam", "states", "n", "family", "source", "worker_pid")
+_INLINE_ATTRIBUTES = ("t", "objective", "lam", "states", "n", "family", "source")
 
 
 def _render_attributes(attributes: dict[str, Any]) -> str:
@@ -378,15 +320,13 @@ def _render_attributes(attributes: dict[str, Any]) -> str:
 # Thread affinity: a :class:`Tracer` is single-threaded by design --
 # spans nest via a plain stack, so all ``span()`` scopes must open and
 # close on the thread that activated the tracer.  Cross-thread
-# telemetry goes through the *locked* sinks instead
-# (:class:`~repro.obs.http.SpanLog`, :class:`~repro.obs.metrics.MetricStore`),
-# and worker results re-enter the owning thread's tracer via
-# :meth:`Tracer.adopt`.  The module global below is therefore exempt
-# from the ``_guarded_by`` discipline checked by ``repro lint --self``:
-# ``current_tracer()``/``span()`` perform a single reference read
-# (atomic in CPython), while the activate/deactivate transitions in
-# :func:`tracing` and :func:`reset_subprocess_tracer` -- the only
-# check-then-set windows -- serialise on ``_ACTIVE_LOCK``.
+# telemetry goes through the *locked* sink instead
+# (:class:`~repro.obs.metrics.MetricStore`).  The module global below is
+# therefore exempt from the ``_guarded_by`` discipline checked by
+# ``repro lint --self``: ``current_tracer()``/``span()`` perform a single
+# reference read (atomic in CPython), while the activate/deactivate
+# transitions in :func:`tracing` -- the only check-then-set windows --
+# serialise on ``_ACTIVE_LOCK``.
 _ACTIVE: Tracer | None = None
 
 #: Serialises the activate/deactivate transitions of ``_ACTIVE``; never
@@ -405,20 +345,6 @@ def current_tracer() -> Tracer | None:
     return _ACTIVE
 
 
-def reset_subprocess_tracer() -> None:
-    """Drop a tracer inherited across ``fork``.
-
-    A forked process-pool worker starts with a *copy* of the parent's
-    active tracer in the module global; spans appended to that copy
-    would silently vanish when the worker exits.  Worker entry points
-    call this first, then activate their own tracer whose spans are
-    shipped back explicitly.
-    """
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        _ACTIVE = None
-
-
 def span(name: str, **attributes: Any) -> ContextManager[Span | None]:
     """A span on the active tracer, or the shared no-op when disabled."""
     tracer = _ACTIVE
@@ -428,13 +354,11 @@ def span(name: str, **attributes: Any) -> ContextManager[Span | None]:
 
 
 @contextmanager
-def tracing(track_allocations: bool = False, trace_id: str | None = None) -> Iterator[Tracer]:
+def tracing(track_allocations: bool = False) -> Iterator[Tracer]:
     """Activate a fresh :class:`Tracer` for the ``with`` body.
 
     Tracers do not nest: activating inside an active scope raises, which
-    catches accidental double-instrumentation early.  ``trace_id`` pins
-    the trace identifier -- process-pool workers pass the parent's id so
-    the merged trace is one logical trace.
+    catches accidental double-instrumentation early.
 
     The not-already-active check and the activation are one atomic step
     under ``_ACTIVE_LOCK``, so two threads racing into ``tracing()``
@@ -444,7 +368,7 @@ def tracing(track_allocations: bool = False, trace_id: str | None = None) -> Ite
     see the thread-affinity note above ``_ACTIVE``.
     """
     global _ACTIVE
-    tracer = Tracer(track_allocations=track_allocations, trace_id=trace_id)
+    tracer = Tracer(track_allocations=track_allocations)
     with _ACTIVE_LOCK:
         if _ACTIVE is not None:
             raise RuntimeError("a tracer is already active; tracing scopes do not nest")

@@ -209,78 +209,6 @@ class TestBatchBehaviour:
         assert short.ok  # the batch survived the timeout
 
 
-class TestProcessPool:
-    def test_pool_matches_serial_bitwise(self, tmp_path):
-        queries = [
-            Query(model=SPEC1, t=50.0),
-            Query(model=SPEC2, t=50.0),
-            Query(model={"family": "ftwc-ctmc", "n": 1}, t=50.0),
-        ]
-        pooled = run_batch(
-            queries, registry=ModelRegistry(cache_dir=tmp_path), workers=2
-        )
-        serial = run_batch(queries)
-        assert all(r.ok for r in pooled.results)
-        assert [r.value for r in pooled.results] == [r.value for r in serial.results]
-        # Worker metrics were merged into the parent's collector.
-        assert pooled.metrics.counter("models_built") == 3
-        assert pooled.metrics.counter("queries_total") == 3
-
-    def test_pool_workers_share_disk_cache(self, tmp_path):
-        queries = [Query(model=SPEC1, t=10.0), Query(model=SPEC2, t=10.0)]
-        run_batch(queries, registry=ModelRegistry(cache_dir=tmp_path), workers=2)
-        warm = run_batch(
-            queries, registry=ModelRegistry(cache_dir=tmp_path), workers=2
-        )
-        assert warm.metrics.counter("cache_hits_disk") == 2
-        assert warm.metrics.counter("models_built") == 0
-
-    def test_pool_results_carry_certificates_and_merge_metrics(self, tmp_path):
-        queries = [Query(model=SPEC1, t=10.0), Query(model=SPEC2, t=10.0)]
-        batch = run_batch(
-            queries, registry=ModelRegistry(cache_dir=tmp_path), workers=2
-        )
-        assert all(r.certificate is not None for r in batch.results)
-        assert all(r.certificate.healthy for r in batch.results)
-        # Worker-side certificate metrics arrive through the merge.
-        assert batch.metrics.counter("certificates_total") == 2
-        snapshot = batch.metrics.as_dict()
-        assert snapshot["histograms"]["certificate_error_bound"]["sum"] > 0.0
-
-    def test_pool_worker_spans_adopt_into_parent_trace(self, tmp_path):
-        from repro.obs import tracing
-
-        queries = [Query(model=SPEC1, t=10.0), Query(model=SPEC2, t=10.0)]
-        with tracing() as tracer:
-            batch = run_batch(
-                queries, registry=ModelRegistry(cache_dir=tmp_path), workers=2
-            )
-        assert all(r.ok for r in batch.results)
-        worker_spans = [s for s in tracer.spans if "worker_pid" in s.attributes]
-        assert {s.name for s in worker_spans} >= {
-            "solver.prepare", "solver.solve", "reachability.sweep",
-        }
-        # Stable ids: worker span ids embed the shared trace id and the
-        # worker's pid, so merged JSONL exports stay unambiguous.
-        records = [r for r in tracer.as_dicts() if "worker_pid" in r["attributes"]]
-        for record in records:
-            assert record["trace_id"] == tracer.trace_id
-            assert record["span_id"].startswith(f"{tracer.trace_id}:")
-            assert f"{record['attributes']['worker_pid']:x}" in record["span_id"]
-        # Parent-child links survive the index remapping.
-        by_id = {r["span_id"]: r for r in tracer.as_dicts()}
-        for record in records:
-            if record["parent_span_id"] is not None:
-                assert record["parent_span_id"] in by_id
-
-    def test_pool_without_tracing_ships_no_spans(self, tmp_path):
-        queries = [Query(model=SPEC1, t=10.0), Query(model=SPEC2, t=10.0)]
-        batch = run_batch(
-            queries, registry=ModelRegistry(cache_dir=tmp_path), workers=2
-        )
-        assert all(r.ok for r in batch.results)
-
-
 class TestQueryEngine:
     def test_engine_reuses_registry_across_batches(self):
         engine = QueryEngine()

@@ -1,6 +1,8 @@
 """Tests for the direct FTWC generator -- including the quantitative
 match against the paper's Table 1 model statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,14 @@ class TestParameters:
             FTWCParameters(n=0)
         with pytest.raises(ModelError):
             FTWCParameters(n=1, ws_fail=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize(
+        "name", ["ws_fail", "sw_fail", "bb_fail", "ws_repair", "sw_repair", "bb_repair"]
+    )
+    def test_rates_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ModelError, match=name):
+            FTWCParameters(n=1, **{name: value})
 
     def test_kind_lookup(self):
         params = FTWCParameters(n=1)

@@ -1,7 +1,5 @@
 """MetricStore, EngineMetrics compatibility, and Prometheus exposition."""
 
-import pytest
-
 from repro.engine.metrics import EngineMetrics
 from repro.obs import MetricStore, prometheus_exposition
 
@@ -22,35 +20,9 @@ class TestMetricStore:
             pass
         assert store.seconds("t_seconds") >= 0.0
 
-    def test_merge_from_dict_and_store(self):
-        a = MetricStore()
-        a.count("x", 2)
-        b = MetricStore()
-        b.count("x", 3)
-        b.add_time("y_seconds", 1.0)
-        a.merge(b)
-        a.merge({"counters": {"x": 1}, "timers": {"y_seconds": 0.5}})
-        assert a.counter("x") == 6
-        assert a.seconds("y_seconds") == 1.5
-
-    def test_rejected_merge_changes_nothing(self):
-        store = MetricStore()
-        store.count("queries_total")
-        store.observe("lat", 0.5)
-        before = store.as_dict()
-        snapshot = {
-            "counters": {"queries_total": 3},
-            "timers": {"solve_seconds": 1.0},
-            "gauges": {"g": 1.0},
-            "histograms": {"lat": {"bounds": [1.0], "counts": [1, 0], "sum": 0.5}},
-        }
-        with pytest.raises(ValueError, match="bucket bounds"):
-            store.merge(snapshot)
-        assert store.as_dict() == before
-
     def test_engine_metrics_is_a_metric_store(self):
-        """The engine's historical class is the shared core -- merge and
-        the Prometheus rendering come for free."""
+        """The engine's historical class is the shared core -- the
+        Prometheus rendering comes for free."""
         metrics = EngineMetrics()
         assert isinstance(metrics, MetricStore)
         metrics.count("cache_misses")

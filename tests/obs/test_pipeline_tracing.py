@@ -169,31 +169,6 @@ class TestProfile:
         assert any(r["name"] == "reachability.sweep" for r in records)
 
 
-class TestProfileFanOut:
-    def test_worker_spans_merge_into_profile_trace(self):
-        """A process-pool profile run contains the worker-side sweep
-        spans, adopted into the parent trace under one trace id."""
-        report = profile_query(family="ftwc", t=10.0, ns=[1, 2], workers=2)
-        worker_spans = [
-            s for s in report.tracer.spans if "worker_pid" in s.attributes
-        ]
-        assert worker_spans, "no worker spans were adopted"
-        assert {s.attributes["worker_pid"] for s in worker_spans} != set()
-        sweep_spans = [s for s in worker_spans if s.name == "reachability.sweep"]
-        assert len(sweep_spans) == 2  # one per model group
-        records = report.tracer.as_dicts()
-        assert {r["trace_id"] for r in records} == {report.tracer.trace_id}
-        rendered = report.render()
-        assert "worker_pid=" in rendered
-
-    def test_profile_cli_with_workers(self, capsys):
-        code = main(
-            ["profile", "ftwc", "--ns", "1", "2", "--workers", "2", "--t", "10"]
-        )
-        assert code == 0
-        assert "worker_pid=" in capsys.readouterr().out
-
-
 class TestServeMetrics:
     def _run(self, lines: list[str]) -> list[str]:
         sink = io.StringIO()
@@ -326,39 +301,6 @@ class TestServeHttp:
 
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port), timeout=0.5).close()
-
-
-class TestObsServerCli:
-    def test_obs_server_answers_workload_then_exits(self, tmp_path, capsys):
-        queries = tmp_path / "queries.json"
-        queries.write_text(
-            json.dumps(
-                {
-                    "defaults": {"model": {"family": "ftwc", "n": 1}},
-                    "queries": [{"t": 5.0}, {"t": 10.0}],
-                }
-            ),
-            encoding="utf-8",
-        )
-        code = main(
-            [
-                "obs-server", "--port", "0", "--queries", str(queries),
-                "--duration", "0", "--no-disk-cache",
-            ]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "telemetry listening on http://127.0.0.1:" in err
-        assert "answered 2 queries (0 failed)" in err
-
-    def test_obs_server_rejects_bad_workload(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code = main(
-            ["obs-server", "--port", "0", "--queries", str(bad),
-             "--duration", "0", "--no-disk-cache"]
-        )
-        assert code == 2
 
 
 class TestOverheadShape:

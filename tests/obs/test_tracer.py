@@ -7,10 +7,8 @@ import os
 import pytest
 
 from repro.obs import (
-    Tracer,
     current_tracer,
     read_jsonl,
-    reset_subprocess_tracer,
     span,
     summarize_durations,
     sweep_span,
@@ -208,57 +206,6 @@ class TestCrossProcessIdentity:
         assert inner.parent_span_id == outer.span_id
         records = tracer.as_dicts()
         assert all(record["trace_id"] == tracer.trace_id for record in records)
-
-    def test_pinned_trace_id(self):
-        with tracing(trace_id="cafe0123") as tracer:
-            pass
-        assert tracer.trace_id == "cafe0123"
-
-    def test_adopt_remaps_indices_and_keeps_span_ids(self):
-        parent = Tracer()
-        with parent.span("parent.work"):
-            pass
-        worker = Tracer(trace_id=parent.trace_id)
-        with worker.span("worker.outer"):
-            with worker.span("worker.inner"):
-                pass
-        shipped = worker.as_dicts()
-
-        adopted = parent.adopt(
-            shipped, origin_epoch=worker.origin_epoch, attributes={"worker_pid": 4242}
-        )
-        assert [s.name for s in parent.spans] == [
-            "parent.work", "worker.outer", "worker.inner",
-        ]
-        outer, inner = adopted
-        assert inner.parent == outer.index  # remapped into the parent list
-        assert outer.span_id == shipped[0]["span_id"]  # stable id kept verbatim
-        assert outer.attributes["worker_pid"] == 4242
-        # One logical trace: adopted spans export under the parent id.
-        assert all(r["trace_id"] == parent.trace_id for r in parent.as_dicts())
-
-    def test_adopt_aligns_timelines(self):
-        parent = Tracer()
-        worker = Tracer(trace_id=parent.trace_id)
-        with worker.span("w"):
-            pass
-        offset = worker.origin_epoch - parent.origin_epoch
-        started_remote = worker.spans[0].started_at
-        (adopted,) = parent.adopt(
-            worker.as_dicts(), origin_epoch=worker.origin_epoch
-        )
-        assert adopted.started_at == pytest.approx(started_remote + offset)
-
-    def test_reset_subprocess_tracer_clears_inherited_state(self):
-        with tracing():
-            # Simulates the fork-inherited module global in a worker.
-            reset_subprocess_tracer()
-            assert current_tracer() is None
-            with tracing() as inner:  # workers re-activate their own
-                with span("w"):
-                    pass
-            assert len(inner.spans) == 1
-        assert current_tracer() is None
 
 
 class TestSweepSpan:

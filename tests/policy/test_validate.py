@@ -126,17 +126,3 @@ class TestEngineRecording:
         counters = recorded.metrics.as_dict()["counters"]
         assert counters["policies_extracted"] == 1
         assert counters["policy_bytes_written"] < counters["policy_dense_bytes"]
-
-    def test_recording_survives_the_worker_pool(self):
-        batch = run_batch(
-            [
-                Query(model={"family": "ftwc", "n": 1}, t=10.0),
-                Query(model={"family": "ftwc", "n": 1}, t=10.0, objective="min"),
-            ],
-            workers=2,
-            record_schedulers=True,
-        )
-        assert all(result.policy is not None for result in batch.results)
-        keys = {result.policy.key for result in batch.results}
-        assert len(keys) == 2
-        assert batch.metrics.counter("policies_extracted") == 2

@@ -25,7 +25,6 @@ class TestParser:
         args = build_parser().parse_args(["batch", "queries.json"])
         assert args.queries == "queries.json"
         assert args.out is None
-        assert args.workers is None
         assert args.timeout is None
         assert not args.no_disk_cache
 
