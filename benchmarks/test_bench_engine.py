@@ -26,6 +26,14 @@
   and the number of queries answered without a sweep (every
   ``premium`` query: the all-up initial state is premium) go to the
   ``BENCH_engine.json`` ledger.
+* **Table 1's sweep, per step** -- for N = 8 to 128, Algorithm 1 on the
+  full FTWC model as Table 1 times it: the active rows and nonzeros
+  (non-goal states' rows of the probability matrix), the time per
+  backward step (best of 3 solves at t = 100 h), the exact 30,000 h
+  iteration count and the 30,000 h cell time it predicts (count times
+  step time).  They go to the ``BENCH_engine.json`` ledger under
+  ``kind: "table1-sweep"``, a series for the long cells no default run
+  solves.
 """
 
 import random
@@ -36,17 +44,19 @@ import numpy as np
 import pytest
 
 from _ledger import append_run
-from repro.core.reachability import timed_reachability
+from repro.core.reachability import PreparedTimedReachability, timed_reachability
 from repro.engine import Query, QueryEngine
 from repro.engine.registry import BuiltModel
 from repro.io.tra import read_ctmdp_tra, write_ctmdp_tra
 from repro.models import ftwc_direct
+from repro.numerics.foxglynn import poisson_right_truncation
 from tests.oracles import ftwc_direct as reference_generator
 from tests.oracles.tra import assert_same_model
 
 SPEC = {"family": "ftwc", "n": 4}
 FTWC_BUILD_SIZES = (4, 8, 16, 32)
 TRA_IO_SIZES = (4, 32)
+TABLE1_SIZES = (8, 16, 32, 64, 128)
 TIME_POINTS = tuple(float(t) for t in range(0, 501, 50))  # 11 points
 LEDGER = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -209,3 +219,29 @@ def test_serve_mix_ledger(monkeypatch):
         f"{per_goal['premium']['solve_seconds'] * 1e3:.2f} ms, "
         f"{len(prepares)} prepares, {trivial} answered without a sweep"
     )
+
+
+def test_table1_sweep_ledger():
+    record = {"kind": "table1-sweep"}
+    for n in TABLE1_SIZES:
+        model = ftwc_direct.build_ctmdp(n)
+        ctmdp, goal = model.ctmdp, model.goal_mask
+        solver = PreparedTimedReachability(ctmdp, goal)
+        result, seconds = _best_of_3(solver.solve, 100.0)
+        counts = np.diff(ctmdp.choice_ptr)
+        active_rows = np.repeat(~goal & (counts > 0), counts)
+        step_seconds = seconds / result.iterations
+        iterations = poisson_right_truncation(solver.rate * 30000.0, 1e-6)
+        record[f"n{n}"] = {
+            "active_rows": int(active_rows.sum()),
+            "nonzeros": int(np.diff(solver.prob.indptr)[active_rows].sum()),
+            "step_seconds": round(step_seconds, 9),
+            "iterations_30000h": iterations,
+            "cell_30000h_seconds": round(iterations * step_seconds, 3),
+        }
+        print(
+            f"\nTable 1 N={n}: {int(active_rows.sum())} active rows, "
+            f"{step_seconds * 1e9:,.0f} ns per step, 30000 h cell "
+            f"{iterations:,} steps ~ {iterations * step_seconds:.1f} s"
+        )
+    append_run(LEDGER, "engine-serve-mix", record)

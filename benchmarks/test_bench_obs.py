@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse._sparsetools import csr_matvec
 
 from _ledger import append_run
 
 from repro.core.reachability import PreparedTimedReachability
-from repro.core.segments import segment_reduce
 from repro.models.ftwc_direct import build_ctmdp
 from repro.numerics.foxglynn import fox_glynn
 from repro.obs import current_tracer, tracing
@@ -43,21 +43,31 @@ def _reference_solve(prepared: PreparedTimedReachability, t: float) -> np.ndarra
     any tracing hooks -- the baseline the overhead is measured against."""
     active = prepared._active
     fg = fox_glynn(prepared.rate * t, EPSILON)
-    psi = fg.probabilities()
+    psi, left = fg.probabilities().tolist(), fg.left
     num_active = len(active.states)
     num_multi = active.num_multi
     multi_rows = int(active.row_ptr[num_multi])
-    q = np.zeros(active.matrix.shape[1])
-    transition_values = np.empty(active.matrix.shape[0])
+    n_rows, n_cols = active.matrix.shape
+    indptr, indices, data = active.matrix.indptr, active.matrix.indices, active.matrix.data
+    q = np.zeros(n_cols)
+    transition_values = np.empty(n_rows)
+    num_wide = active.num_wide
+    wide_rows = transition_values[: active.row_ptr[num_wide]]
+    wide_starts, wide = active.multi.starts[:num_wide], q[:num_wide]
+    best_calls = active.best_calls(transition_values, q)
     g = 0.0
     for i in range(fg.right, 0, -1):
-        psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-        np.multiply(active.prob_to_goal, psi_i, out=transition_values)
-        transition_values += active.matrix @ q
-        q[:num_multi] = segment_reduce(transition_values[:multi_rows], active.multi, "max")
+        psi_i = psi[i - left] if i >= left else 0.0
+        transition_values.fill(0.0)
+        q[-1] = psi_i
+        csr_matvec(n_rows, n_cols, indptr, indices, data, q, transition_values)
+        if num_wide:
+            np.maximum.reduceat(wide_rows, wide_starts, out=wide)
+        for a, b, out in best_calls:
+            np.maximum(a, b, out=out)
         q[num_multi:num_active] = transition_values[multi_rows:]
         g = psi_i + g
-        q[num_active:].fill(g)
+        q[num_active:-1].fill(g)
     values = np.zeros(prepared.num_states)
     values[active.states] = q[:num_active]
     values[prepared.mask] = 1.0

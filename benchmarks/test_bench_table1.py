@@ -6,8 +6,8 @@ memory of the strictly alternating representation, generation time per
 bound at precision 1e-6.
 
 The paper's most expensive cell (N=128, t=30000 h) took 20867 s on the
-authors' Java prototype; here it takes about 51 s (77,323 steps on a
-2-vCPU VM) after a 4 s model build, too long for the default benchmark
+authors' Java prototype; here it takes about 26 s (77,323 steps on a
+2-vCPU VM) after a 2.5 s model build, too long for the default benchmark
 run -- the iteration count it would take is still reported exactly (it
 only depends on ``E * t``), see ``repro.analysis.experiments.table1_row``.
 Pass larger ``N`` through the CLI (``repro table1 --ns 64 128 --solve

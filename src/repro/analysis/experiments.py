@@ -93,8 +93,8 @@ def table1_row(
         and probability columns).  Defaults to all of ``time_bounds``;
         pass a subset to skip the long horizons for large ``n`` -- the
         paper's N=128/30000 h cell took almost six hours on the authors'
-        machine; here it takes about 51 s (77,323 steps on a 2-vCPU VM)
-        after a 47 s model build.
+        machine; here it takes about 26 s (77,323 steps on a 2-vCPU VM)
+        after a 2.5 s model build.
     epsilon:
         Truncation precision (the paper uses 1e-6).
     engine:

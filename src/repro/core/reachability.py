@@ -29,16 +29,21 @@ independently of the scheduler -- which is the reason the whole
 
 Implementation notes (cf. Section 4.2): the rate matrix is stored as a
 ``T x S`` sparse matrix with one row per transition; one backward step
-is a sparse matrix-vector product followed by a segmented optimum over
-each state's contiguous block of transition rows (see
+is a sparse matrix-vector product followed by an optimum over each
+state's contiguous block of transition rows (see
 :mod:`repro.core.segments` for the shared segment machinery, including
 the objective-aware tie handling of the scheduler extraction).  Only the
 rows of the *active* states -- outside ``B``, with at least one
 transition -- are multiplied: the goal states share the scalar value
 ``g_i = psi(i) + g_{i+1}``, and every other state stays 0.  The active
 rows are sliced out once per prepared model with their entries in
-stored order, so each step performs exactly the floating-point
-operations of the full-row recursion on the rows it keeps.
+stored order, and ``Pr_R(s, B)`` rides along as the last entry of each
+row, in a column that carries ``psi(i)``.  A step is then a handful of
+in-place kernel calls -- one zero fill, one CSR product, one ``maximum``
+(or ``minimum``) per choice column of each narrow choice-count block,
+one ``reduceat`` over the states with many choices, one copy and one
+fill -- that perform exactly the floating-point operations of the
+full-row recursion on the rows they keep (see :class:`_ActiveSet`).
 
 A solver prepared for one start ``state`` narrows the active set to that
 state's *cone*: the non-goal states it reaches through non-goal states
@@ -55,6 +60,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.core.ctmdp import CTMDP
 from repro.core.segments import (
@@ -81,6 +87,15 @@ __all__ = [
     "unbounded_reachability",
     "replay_step_scheduler",
 ]
+
+#: Widest choice-count block whose optimum the sweep takes column by
+#: column.  Each column costs one ufunc call, about 0.5 us plus under
+#: 1 ns per state, while ``reduceat`` costs about 2 us plus 30 ns per
+#: state, so a chain of ``c - 1`` calls wins for the FTWC's 2- and
+#: 3-choice blocks at any N, and one ``reduceat`` over the rows of all
+#: wider states wins for the job-scheduling model's 6- to 56-choice
+#: ones (widths 3 and 4 tie there).
+_CHAIN_WIDTH = 4
 
 
 @dataclass
@@ -171,32 +186,54 @@ def _moves(
 class _ActiveSet:
     """The states one backward sweep iterates, laid out for the step.
 
-    Built once per model, goal and blocked set in ``O(nnz)``.  The
-    active states -- not goal, not blocked, with at least one
-    transition -- are ordered multi-choice first, so the optimisation
-    reduces only over their rows and every single-choice state copies
-    its one row.  ``matrix`` holds their transition rows, sliced out of
-    the ``T x S`` matrix with every row's entries in stored order, and
-    its columns index a value vector laid out as
+    Built once per model, goal and blocked set in ``O(nnz)``, and never
+    changed after: the engine shares one per model and goal.  The active
+    states -- not goal, not blocked, with at least one transition -- are
+    ordered by choice count, most choices first and single-choice states
+    last, stable within a count.  The rows of the ``m`` states with ``c``
+    choices then form one contiguous ``m x c`` block.  For ``c`` up to
+    ``_CHAIN_WIDTH`` its optimum is ``c - 1`` elementwise ``maximum``
+    (or ``minimum``) calls over its columns; the states with more
+    choices are a prefix of ``states``, and one ``reduceat`` over their
+    rows takes all their optima at once.  Every single-choice state
+    copies its one row.  A maximum is exact, so this is bitwise a
+    per-state ``reduceat``, and each state's rows stay contiguous and
+    in order for the scheduler extraction.
 
-        [ active states (in ``states`` order) | referenced goal states ]
+    ``matrix`` holds the active transition rows, sliced out of the
+    ``T x S`` matrix with every row's entries in stored order, and its
+    columns index a value vector laid out as
 
-    so one step is the same sequence of floating-point operations as a
-    full-row step on exactly the rows it keeps.  Columns of inactive
-    non-goal states are dropped: their value is 0 at every step, and
-    adding ``+0.0`` to a non-negative partial sum changes no bit.
+        [ active states (in ``states`` order) | referenced goal states | psi ]
+
+    Every row with ``Pr_R(s, B) > 0`` carries that probability as its
+    last stored entry, in the ``psi`` column, which holds ``psi(i)`` at
+    step ``i``.  The CSR kernel sums a row in stored order from a zeroed
+    output slot, so a row's value is ``(sum of its other products) +
+    Pr_R(s, B) * psi(i)``: the same two operands the full-row recursion
+    adds, in the other order, and IEEE addition is commutative.  So one
+    step is the same sequence of floating-point operations as a full-row
+    step on exactly the rows it keeps.  Rows with ``Pr_R(s, B) = 0`` get
+    no entry, and columns of inactive non-goal states are dropped: their
+    terms are ``+0.0`` at every step, and adding ``+0.0`` to a
+    non-negative partial sum changes no bit.
     """
 
-    #: Original state index per active state, multi-choice states first.
+    #: Original state index per active state, most choices first.
     states: np.ndarray
     #: Number of multi-choice states (a prefix of ``states``).
     num_multi: int
+    #: Number of states with more than ``_CHAIN_WIDTH`` choices (a
+    #: prefix of ``states``), whose optima one ``reduceat`` takes.
+    num_wide: int
     #: Segments of the multi-choice states over the rows of ``matrix``.
     multi: SegmentIndex
     #: Local ``choice_ptr`` over ``states``: their rows in ``matrix``.
     row_ptr: np.ndarray
+    #: ``(choices, first, stop)`` per run of states with the same choice
+    #: count from 2 to ``_CHAIN_WIDTH``: ``states[first:stop]``.
+    blocks: tuple[tuple[int, int, int], ...]
     matrix: sp.csr_matrix
-    prob_to_goal: np.ndarray
     #: Decision row of every state the sweep does not optimise: ``0``
     #: (the first transition) where a state has transitions, ``-1``
     #: where it has none.
@@ -216,10 +253,11 @@ class _ActiveSet:
         candidate = ~goal & (counts > 0)
         if blocked is not None:
             candidate &= ~blocked
-        multi_states = np.flatnonzero(candidate & (counts > 1))
-        states = np.concatenate((multi_states, np.flatnonzero(candidate & (counts == 1))))
+        candidates = np.flatnonzero(candidate)
+        states = candidates[np.argsort(-counts[candidates], kind="stable")]
         num_active = len(states)
         row_counts = counts[states]
+        num_multi = int(np.count_nonzero(row_counts > 1))
         row_ptr = np.concatenate(([0], np.cumsum(row_counts)))
         rows = np.repeat(choice_ptr[states] - row_ptr[:-1], row_counts) + np.arange(
             row_ptr[-1]
@@ -229,26 +267,64 @@ class _ActiveSet:
         referenced = np.zeros(len(goal), dtype=bool)
         referenced[sub.indices] = True
         goal_columns = np.flatnonzero(referenced & goal)
+        psi_column = num_active + len(goal_columns)
         column = np.full(len(goal), -1, dtype=sub.indices.dtype)
         column[states] = np.arange(num_active)
         column[goal_columns] = num_active + np.arange(len(goal_columns))
         mapped = column[sub.indices]
         keep = mapped >= 0
         kept_before = np.concatenate(([0], np.cumsum(keep)))
+        # Pr_R(s, B) > 0 goes in after a row's last kept entry.
+        to_goal = prob_to_goal[rows]
+        hits = to_goal > 0.0
+        row_ends = kept_before[sub.indptr[1:]][hits]
         matrix = sp.csr_matrix(
-            (sub.data[keep], mapped[keep], kept_before[sub.indptr]),
-            shape=(len(rows), num_active + len(goal_columns)),
+            (
+                np.insert(sub.data[keep], row_ends, to_goal[hits]),
+                np.insert(mapped[keep], row_ends, psi_column),
+                kept_before[sub.indptr] + np.concatenate(([0], np.cumsum(hits))),
+            ),
+            shape=(len(rows), psi_column + 1),
         )
 
+        # The states wider than _CHAIN_WIDTH lead; after them, a block
+        # starts where the (descending) choice count changes.
+        num_wide = int(np.count_nonzero(row_counts > _CHAIN_WIDTH))
+        narrow = row_counts[num_wide:num_multi]
+        firsts = num_wide + np.flatnonzero(np.diff(narrow, prepend=0))
+        stops = np.append(firsts[1:], num_multi)
         return cls(
             states=states,
-            num_multi=len(multi_states),
-            multi=SegmentIndex.from_choice_ptr(row_ptr[: len(multi_states) + 1]),
+            num_multi=num_multi,
+            num_wide=num_wide,
+            multi=SegmentIndex.from_choice_ptr(row_ptr[: num_multi + 1]),
             row_ptr=row_ptr,
+            blocks=tuple(
+                (int(row_counts[first]), int(first), int(stop))
+                for first, stop in zip(firsts, stops)
+            ),
             matrix=matrix,
-            prob_to_goal=prob_to_goal[rows],
             template=np.where(counts > 0, 0, -1).astype(np.int32),
         )
+
+    def best_calls(
+        self, transition_values: np.ndarray, q: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(a, b, out)`` per elementwise optimum one step makes: views
+        of ``transition_values`` (the rows of ``matrix``) and of ``q``
+        over which ``best(a, b, out=out)`` in order leaves the optimum of
+        every state with 2 to ``_CHAIN_WIDTH`` choices in its slot of
+        ``q``."""
+        calls = []
+        for choices, first, stop in self.blocks:
+            start = int(self.row_ptr[first])
+            columns = transition_values[start : start + (stop - first) * choices].reshape(
+                stop - first, choices
+            )
+            out = q[first:stop]
+            calls.append((columns[:, 0], columns[:, 1], out))
+            calls.extend((out, columns[:, j], out) for j in range(2, choices))
+        return calls
 
     def values(self, q: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-state values of a finished sweep over ``q`` (goal states
@@ -395,14 +471,12 @@ def _sweep(
     everywhere else.
     """
     fg = fox_glynn(rate * t, epsilon)
-    psi = fg.probabilities()
+    psi, left = fg.probabilities().tolist(), fg.left
     k = fg.right
     num_active = len(active.states)
     num_multi = active.num_multi
     multi_rows = int(active.row_ptr[num_multi])
     multi_states = active.states[:num_multi]
-    matrix = active.matrix
-    prob_to_goal = active.prob_to_goal
 
     writer: PolicyWriter | None = None
     decision_row = active.template.copy()
@@ -423,25 +497,38 @@ def _sweep(
         lam=rate * t,
     ) as steps:
         record_steps = steps.enabled
-        q = np.zeros(matrix.shape[1])  # [active states | goal block]
-        transition_values = np.empty(matrix.shape[0])
+        n_rows, n_cols = active.matrix.shape
+        indptr, indices, data = active.matrix.indptr, active.matrix.indices, active.matrix.data
+        q = np.zeros(n_cols)  # [active states | goal block | psi]
+        transition_values = np.empty(n_rows)
+        best = np.maximum if objective == "max" else np.minimum
+        num_wide = active.num_wide
+        wide_rows = transition_values[: active.row_ptr[num_wide]]
+        wide_starts, wide = active.multi.starts[:num_wide], q[:num_wide]
+        best_calls = active.best_calls(transition_values, q)
+        single = q[num_multi:num_active]
+        single_rows = transition_values[multi_rows:]
+        goal_block = q[num_active:-1]
         g = 0.0
         for i in range(k, 0, -1):
             step_started = perf_counter() if record_steps else 0.0
-            psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-            np.multiply(prob_to_goal, psi_i, out=transition_values)
-            transition_values += matrix @ q
-            best = segment_reduce(transition_values[:multi_rows], active.multi, objective)
-            q[:num_multi] = best
-            q[num_multi:num_active] = transition_values[multi_rows:]
+            psi_i = psi[i - left] if i >= left else 0.0
+            transition_values.fill(0.0)
+            q[-1] = psi_i
+            csr_matvec(n_rows, n_cols, indptr, indices, data, q, transition_values)
+            if num_wide:
+                best.reduceat(wide_rows, wide_starts, out=wide)
+            for a, b, out in best_calls:
+                best(a, b, out=out)
+            single[:] = single_rows
             g = psi_i + g
-            q[num_active:].fill(g)
+            goal_block.fill(g)
             if writer is not None:
                 # First transition attaining the optimum within each
                 # segment, with the tie tolerance on the side that
                 # matches the objective (cf. segment_argbest).
                 decision_row[multi_states] = segment_argbest(
-                    transition_values[:multi_rows], best, active.multi, objective
+                    transition_values[:multi_rows], q[:num_multi], active.multi, objective
                 )
                 writer.append(decision_row)
             if record_steps:
@@ -597,24 +684,26 @@ def replay_step_scheduler(
     num_active = len(active.states)
     starts = active.row_ptr[:-1]
     last_choice = np.diff(active.row_ptr) - 1
-    matrix = active.matrix
-    prob_to_goal = active.prob_to_goal
+    n_rows, n_cols = active.matrix.shape
+    indptr, indices, data = active.matrix.indptr, active.matrix.indices, active.matrix.data
 
     fg = fox_glynn(prepared.rate * t, epsilon)
-    psi = fg.probabilities()
-    q = np.zeros(matrix.shape[1])  # [active states | goal block]
-    transition_values = np.empty(matrix.shape[0])
+    psi, left = fg.probabilities().tolist(), fg.left
+    q = np.zeros(n_cols)  # [active states | goal block | psi]
+    transition_values = np.empty(n_rows)
+    goal_block = q[num_active:-1]
     g = 0.0
     rows_iter = iter(_replay_rows(decisions, fg.right))
     for i in range(fg.right, 0, -1):
-        psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-        np.multiply(prob_to_goal, psi_i, out=transition_values)
-        transition_values += matrix @ q
+        psi_i = psi[i - left] if i >= left else 0.0
+        transition_values.fill(0.0)
+        q[-1] = psi_i
+        csr_matvec(n_rows, n_cols, indptr, indices, data, q, transition_values)
         decision_row = next(rows_iter)
         choice = np.clip(decision_row[active.states], 0, last_choice)
         q[:num_active] = transition_values[starts + choice]
         g = psi_i + g
-        q[num_active:].fill(g)
+        goal_block.fill(g)
 
     values, residual = active.values(q, prepared.mask)
     return ReachabilityResult(

@@ -12,6 +12,7 @@ against one prepared solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -46,8 +47,15 @@ class Query:
     def __post_init__(self) -> None:
         normalized = normalize_spec(self.model)
         object.__setattr__(self, "model", normalized)
-        if not isinstance(self.t, (int, float)) or isinstance(self.t, bool) or self.t < 0.0:
-            raise ModelError(f"query time bound must be a non-negative number, got {self.t!r}")
+        if (
+            not isinstance(self.t, (int, float))
+            or isinstance(self.t, bool)
+            or not math.isfinite(self.t)
+            or self.t < 0.0
+        ):
+            raise ModelError(
+                f"query time bound must be a finite non-negative number, got {self.t!r}"
+            )
         object.__setattr__(self, "t", float(self.t))
         if self.objective not in _OBJECTIVES:
             raise ModelError(f"objective must be 'max' or 'min', got {self.objective!r}")

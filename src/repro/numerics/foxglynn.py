@@ -197,8 +197,9 @@ def fox_glynn(lam: float, epsilon: float = 1.0e-6) -> FoxGlynn:
     Raises
     ------
     NumericalError
-        If ``lam`` is negative, ``epsilon`` is out of ``(0, 1)``, or the
-        weight recurrence underflows.
+        If ``lam`` is negative or not finite, ``epsilon`` is out of
+        ``(0, 1)``, ``lam`` is so large that float64 rounding collapses
+        the window to its mode, or the weight recurrence underflows.
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise NumericalError(f"Poisson parameter must be finite and >= 0, got {lam}")
@@ -227,6 +228,13 @@ def _fox_glynn(lam: float, epsilon: float) -> FoxGlynn:
     else:
         k_right = _right_tail_k(lam, epsilon)
         right = int(math.ceil(mode + k_right * math.sqrt(2.0 * lam) + 1.5))
+        if right <= mode:
+            # The tail offset is below half a unit in the last place of
+            # the mode: float64 rounding has collapsed the window.
+            raise NumericalError(
+                f"Poisson parameter {lam:g} is too large for float64 to "
+                f"resolve the truncation window"
+            )
 
     # --- Finder: left truncation point. --------------------------------
     if lam < 25.0:

@@ -22,6 +22,7 @@ from repro.core.reachability import (
 )
 from repro.core.until import timed_until
 from repro.models import ftwc_direct
+from repro.models.job_scheduling import build_job_scheduling
 from tests.core.test_reachability_properties import models_with_goals
 from tests.oracles.sweep import full_row_replay, full_row_sweep
 
@@ -124,6 +125,46 @@ class TestOracleEquality:
             replayed.values,
             full_row_replay(ctmdp, goal, t, decisions, EPSILON, blocked=blocked),
         )
+
+
+class TestManyChoices:
+    """The job-scheduling model has states with 3, 6, 10 and 15 choices:
+    the sweep takes the 3-choice optima column by column and all wider
+    ones with one ``reduceat``, and both must give the oracle's bits."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_job_scheduling([0.5, 0.8, 1.0, 1.5, 2.5, 4.0], processors=2)
+
+    def test_layout_takes_both_paths(self, model):
+        active = PreparedTimedReachability(model.ctmdp, model.goal_mask)._active
+        assert 0 < active.num_wide < active.num_multi
+        assert [choices for choices, _, _ in active.blocks] == [3]
+
+    @pytest.mark.parametrize("until", [False, True])
+    def test_values_and_decisions(self, model, until):
+        ctmdp, goal = model.ctmdp, model.goal_mask
+        blocked = None
+        if until:
+            blocked = np.zeros(ctmdp.num_states, dtype=bool)
+            blocked[np.flatnonzero(~goal)[-5:]] = True
+        for objective in ("max", "min"):
+            values, decisions = full_row_sweep(
+                ctmdp, goal, 3.0, EPSILON, objective, blocked=blocked
+            )
+            result = _solve(ctmdp, goal, blocked, 3.0, objective)
+            np.testing.assert_array_equal(result.values, values)
+            np.testing.assert_array_equal(
+                result.decisions.dense(),
+                _expected_decisions(ctmdp, goal, blocked, decisions),
+            )
+
+    def test_cone_solve(self, model):
+        ctmdp, goal = model.ctmdp, model.goal_mask
+        values, _ = full_row_sweep(ctmdp, goal, 3.0, 1e-6, "min")
+        prepared = PreparedTimedReachability(ctmdp, goal, state=ctmdp.initial)
+        value = prepared.solve(3.0, objective="min").value(ctmdp.initial)
+        assert value.hex() == float(values[ctmdp.initial]).hex()
 
 
 @pytest.fixture(scope="module", params=[4, 8, 16])

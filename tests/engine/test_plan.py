@@ -29,6 +29,8 @@ class TestQuery:
             {"t": 1.0, "goal": ""},
             {"t": 1.0, "epsilon": 0.0},
             {"t": 1.0, "epsilon": 2.0},
+            {"t": float("nan")},
+            {"t": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -111,6 +111,13 @@ class TestErrors:
         with pytest.raises(NumericalError):
             fox_glynn(10.0, eps)
 
+    def test_window_collapsed_by_rounding_rejected(self):
+        """At lambda = 1e300 the tail offset is far below one unit in the
+        last place of the mode, so the window would round to the single
+        index ``left == right``; a sweep over it would never end."""
+        with pytest.raises(NumericalError, match="too large"):
+            fox_glynn(1e300, 1e-6)
+
 
 class TestExtremeParameters:
     def test_very_large_lambda(self):

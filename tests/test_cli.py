@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,22 @@ class TestBatchCommand:
         document = json.loads(capsys.readouterr().out)
         assert document["results"][0]["error"] is None
         assert document["results"][1]["error"] is not None
+
+    def test_unresolvable_time_bound_is_an_error_record(self, tmp_path, capsys):
+        """At t = 1e300 float64 cannot hold the Poisson window: the query
+        fails at once instead of sweeping for about 1e300 steps.  The
+        ``--timeout`` ends such a sweep as a "timed out" record, so a
+        regression fails this test instead of hanging it."""
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps([{"model": {"family": "ftwc", "n": 1}, "t": 1e300}]),
+            encoding="utf-8",
+        )
+        started = time.perf_counter()
+        assert main(["batch", str(path), "--no-disk-cache", "--timeout", "5"]) == 1
+        assert time.perf_counter() - started < 1.0
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert "too large" in record["error"]
 
 
 class TestBenchTrendCommand:
