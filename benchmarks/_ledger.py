@@ -11,24 +11,41 @@ first entry and bounds the series length so the files stay reviewable.
 import json
 import subprocess
 from datetime import datetime, timezone
+from fnmatch import fnmatch
 from pathlib import Path
 from typing import Any
 
 
-def git_sha(cwd: Path) -> str:
-    """The current short commit id, or ``"unknown"`` outside a checkout."""
+def _git(cwd: Path, *args: str) -> str:
+    """Standard output of ``git <args>`` run in ``cwd``; empty on failure."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=cwd,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
+        return ""
+    return out.stdout if out.returncode == 0 else ""
+
+
+def git_sha(cwd: Path) -> str:
+    """The short commit id of the measured tree, or ``"unknown"`` outside
+    a checkout.
+
+    The id gets a ``+dirty`` suffix when a tracked file differs from the
+    commit.  The root ``BENCH_*.json`` ledgers do not count: appending to
+    them is what a benchmark run does.
+    """
+    sha = _git(cwd, "rev-parse", "--short", "HEAD").strip()
+    if not sha:
         return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+    changed = _git(cwd, "diff", "--name-only", "HEAD").splitlines()
+    if any("/" in name or not fnmatch(name, "BENCH_*.json") for name in changed):
+        return sha + "+dirty"
+    return sha
 
 
 def append_run(

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.reachability import timed_reachability
-from repro.core.uniformity import uniformize_ctmdp
 from repro.models.ftwc_direct import build_ctmdp
 from repro.numerics.foxglynn import fox_glynn, poisson_pmf
+from tests.oracles.uniformity import uniformize_ctmdp
 
 
 class TestSparseVsDense:

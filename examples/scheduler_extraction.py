@@ -9,8 +9,8 @@ is optimal for all horizons -- Algorithm 1's step-indexed greedy
 decisions are.
 
 This example extracts the optimal step-dependent scheduler, shows where
-its decision flips, and validates the computed optimum by Monte-Carlo
-simulation under the extracted scheduler.
+its decision flips, and certifies it: replaying the recorded decisions
+through the exact recursion reproduces the computed optimum.
 
 Run with::
 
@@ -19,10 +19,10 @@ Run with::
 
 import numpy as np
 
-from repro.core import StepScheduler, timed_reachability
+from repro.core import timed_reachability
+from repro.core.reachability import replay_step_scheduler
 from repro.ctmc.reachability import timed_reachability as ctmc_reachability
 from repro.models.zoo import two_phase_race_ctmdp
-from repro.sim.simulate import simulate_ctmdp_reachability
 
 
 def main() -> None:
@@ -58,16 +58,13 @@ def main() -> None:
         f"steps remain the scheduler switches to {labels[choices[-1]]!r}."
     )
 
-    # Validate by simulating the extracted scheduler.
-    scheduler = StepScheduler(decisions=result.decisions)
-    estimate = simulate_ctmdp_reachability(
-        ctmdp, scheduler, goal={2}, t=t, runs=20_000, rng=np.random.default_rng(7)
-    )
-    low, high = estimate.confidence_interval(z=3.0)
+    # Certify the extracted scheduler: its exact value is the optimum.
+    replayed = replay_step_scheduler(ctmdp, goal, t, result.decisions, epsilon=1e-10)
     print(
-        f"\nMonte-Carlo under the extracted scheduler: {estimate.probability:.5f} "
-        f"(99.7% CI [{low:.5f}, {high:.5f}]); analytic optimum {result.value(0):.5f}."
+        f"\nReplaying the extracted scheduler: {replayed.value(0):.15f} "
+        f"(certified error bound {replayed.certificate.error_bound:.1e})."
     )
+    print(f"Equal to the analytic optimum: {replayed.value(0) == result.value(0)}")
 
 
 if __name__ == "__main__":

@@ -9,15 +9,14 @@ Demonstrates the paper's Section 3 machinery beyond the FTWC:
 3. compose a small pipeline system (two sequential processing stages
    with a shared operator who must attend each handover -- the
    nondeterminism), minimise it with stochastic branching bisimulation,
-   and check the quotient is bisimilar to (and analyses identically to)
-   the original.
+   and check that the quotient analyses identically to the original.
 
 Run with::
 
     python examples/time_constraints.py
 """
 
-from repro.bisim import are_branching_bisimilar, branching_minimize
+from repro.bisim import branching_minimize
 from repro.bisim.quotient import map_labels_through
 from repro.core import timed_reachability
 from repro.ctmc import PhaseType
@@ -75,6 +74,22 @@ def build_pipeline():
     return hide_all_but(system)
 
 
+HORIZONS = (0.5, 2.0)
+
+
+def analyse(model, labels) -> dict:
+    """Worst- and best-case P(some stage done within t) per horizon t."""
+    transformed = imc_to_ctmdp(model, require_uniform=True)
+    goal = transformed.goal_mask_from_predicate(lambda s: labels[s], via="markov")
+    return {
+        (t, objective): timed_reachability(
+            transformed.ctmdp, goal, t, epsilon=1e-8, objective=objective
+        ).value(transformed.ctmdp.initial)
+        for t in HORIZONS
+        for objective in ("max", "min")
+    }
+
+
 def main() -> None:
     show_phase_types()
 
@@ -89,17 +104,12 @@ def main() -> None:
     print(f"branching-bisimulation quotient: {quotient} "
           f"({system.num_states} -> {quotient.num_states} states)")
     quotient_labels = map_labels_through(partition, labels)
-    equivalent = are_branching_bisimilar(system, quotient, labels, quotient_labels)
-    print(f"quotient bisimilar to original: {equivalent}")
 
-    original = imc_to_ctmdp(system, require_uniform=True)
-    goal = original.goal_mask_from_predicate(lambda s: labels[s], via="markov")
-    for t in (0.5, 2.0):
-        result = timed_reachability(original.ctmdp, goal, t, epsilon=1e-8)
-        print(
-            f"worst-case P(some stage done within {t} h) = "
-            f"{result.value(original.ctmdp.initial):.6f}"
-        )
+    original = analyse(system, labels)
+    for t in HORIZONS:
+        print(f"worst-case P(some stage done within {t} h) = {original[t, 'max']:.6f}")
+    identical = analyse(quotient, quotient_labels) == original
+    print(f"quotient analyses identically (worst and best case): {identical}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from repro.errors import (
     NonUniformError,
     NumericalError,
     ReproError,
-    SchedulerError,
     TransformationError,
 )
 
@@ -51,6 +50,5 @@ __all__ = [
     "NonUniformError",
     "NumericalError",
     "ReproError",
-    "SchedulerError",
     "TransformationError",
 ]

@@ -13,7 +13,6 @@ from repro.analysis.report import ReportScale, generate_report, write_report
 from repro.analysis.validate import CheckOutcome, run_selfcheck
 from repro.analysis.sweeps import (
     SweepPoint,
-    curves_to_csv,
     sweep_cluster_size,
     sweep_failure_rate,
     sweep_repair_speed,
@@ -40,7 +39,6 @@ __all__ = [
     "generate_report",
     "write_report",
     "SweepPoint",
-    "curves_to_csv",
     "sweep_cluster_size",
     "sweep_failure_rate",
     "sweep_repair_speed",

@@ -1,4 +1,4 @@
-"""Parameter sweeps over the FTWC: sensitivity analysis and CSV export.
+"""Parameter sweeps over the FTWC: sensitivity analysis.
 
 The paper evaluates one parameterisation of the workstation cluster;
 a library user typically wants to know how the worst-case risk moves
@@ -10,20 +10,14 @@ with the design parameters.  These sweeps vary
 
 and report the worst-case probability of losing premium service within
 a mission time, each point being one run of Algorithm 1 on a freshly
-generated uniform CTMDP.  ``curves_to_csv`` exports any Figure-4-style
-curve set for external plotting.
+generated uniform CTMDP.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from repro.analysis.experiments import Figure4Curves
 from repro.core.reachability import timed_reachability
 from repro.models.ftwc_direct import FTWCParameters, build_ctmdp
 
@@ -32,7 +26,6 @@ __all__ = [
     "sweep_cluster_size",
     "sweep_repair_speed",
     "sweep_failure_rate",
-    "curves_to_csv",
 ]
 
 
@@ -117,19 +110,3 @@ def sweep_failure_rate(
         point = _worst_case(params, t, epsilon)
         points.append(replace(point, parameter=float(factor)))
     return points
-
-
-def curves_to_csv(curves: Figure4Curves, path: str | Path) -> None:
-    """Export one Figure 4 panel as CSV (for gnuplot/matplotlib/etc.)."""
-    with open(path, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle)
-        header = ["t_hours", "ctmdp_sup", "ctmc"]
-        if curves.ctmdp_min is not None:
-            header.insert(2, "ctmdp_inf")
-        writer.writerow(header)
-        for idx, t in enumerate(curves.time_points):
-            row = [f"{t:g}", f"{curves.ctmdp_max[idx]:.12e}"]
-            if curves.ctmdp_min is not None:
-                row.append(f"{curves.ctmdp_min[idx]:.12e}")
-            row.append(f"{curves.ctmc[idx]:.12e}")
-            writer.writerow(row)

@@ -29,28 +29,13 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from repro.bisim.partition import Partition
 from repro.bisim.quotient import quotient_imc
-from repro.bisim.signatures import markov_rate_pairs, rate_signature
 from repro.bisim.worklist import worklist_refine
 from repro.imc.model import IMC
 from repro.obs import MetricStore, span
 
 __all__ = ["branching_bisimulation", "branching_minimize"]
-
-
-def _rate_signature(imc: IMC, state: int, block_of: np.ndarray) -> frozenset:
-    """Cumulative-rate signature ``{(block, Rate(state, block))}``.
-
-    Accumulation is order-independent (sorted ``fsum``) and the sums are
-    quantised on the shared relative grid of
-    :mod:`repro.bisim.signatures`, so rates straddling a decimal
-    rounding boundary can no longer split blocks that Definition 6 says
-    must merge.
-    """
-    return rate_signature(markov_rate_pairs(imc, state, block_of))
 
 
 def _initial_partition(imc: IMC, labels: Sequence[Hashable] | None) -> Partition:

@@ -13,7 +13,7 @@ in their signature functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""The paper's analysis core: CTMDPs, schedulers, timed reachability."""
+"""The paper's analysis core: CTMDPs and timed reachability."""
 
 from repro.core.ctmdp import CTMDP, Transition
 from repro.core.reachability import (
@@ -8,14 +8,6 @@ from repro.core.reachability import (
 )
 from repro.core.expected_time import expected_time_analysis
 from repro.core.until import timed_until
-from repro.core.uniformity import uniformize_ctmdp
-from repro.core.scheduler import (
-    Scheduler,
-    StationaryScheduler,
-    StepScheduler,
-    UniformRandomScheduler,
-    greedy_scheduler_from_decisions,
-)
 
 __all__ = [
     "CTMDP",
@@ -23,12 +15,6 @@ __all__ = [
     "ReachabilityResult",
     "timed_reachability",
     "unbounded_reachability",
-    "Scheduler",
-    "StationaryScheduler",
-    "StepScheduler",
-    "UniformRandomScheduler",
-    "greedy_scheduler_from_decisions",
-    "uniformize_ctmdp",
     "timed_until",
     "expected_time_analysis",
 ]

@@ -637,7 +637,7 @@ def replay_step_scheduler(
     holds the per-state transition index used at backward step ``i``).
     Steps beyond the recorded horizon reuse the last row and ``-1``
     entries (states without a recorded choice) fall back to the first
-    transition, matching :class:`~repro.core.scheduler.StepScheduler`.
+    transition.
     With ``safe`` the replay computes the until value ``safe U^{<=t}
     goal`` under the fixed scheduler (states outside ``safe + goal``
     are blocked at zero), mirroring :func:`repro.core.until.timed_until`.

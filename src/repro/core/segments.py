@@ -1,8 +1,8 @@
 """Segmented per-state optimisation shared by every value recursion.
 
-The CTMDP and DTMDP solvers all store transitions sorted by source
-state, so "optimise over the choices of each state" is a segmented
-reduction over contiguous blocks of a per-transition value vector
+CTMDPs and DTMDPs store transitions sorted by source state, so
+"optimise over the choices of each state" is a segmented reduction over
+contiguous blocks of a per-transition value vector
 (Section 4.2 of the paper).  Three different modules used to repeat the
 same ``reduceat`` + tie-tolerance pattern -- and one of them carried a
 sign bug in the ``min``-objective argmax (every value is ``>=`` the

@@ -17,7 +17,6 @@ __all__ = [
     "NumericalError",
     "ConvergenceError",
     "CompositionError",
-    "SchedulerError",
 ]
 
 
@@ -79,8 +78,7 @@ class ConvergenceError(ReproError):
     partial result pass ``allow_unconverged=True`` instead.
 
     Also raised by unbounded value iteration
-    (:func:`repro.core.reachability.unbounded_reachability`,
-    :func:`repro.mdp.value_iteration.unbounded_reachability`) when
+    (:func:`repro.core.reachability.unbounded_reachability`) when
     ``max_iterations`` steps end with the last change still at or above
     ``tol``: the current vector is not the fixpoint, so it is never
     returned as one.
@@ -89,7 +87,3 @@ class ConvergenceError(ReproError):
 
 class CompositionError(ReproError):
     """Parallel composition / hiding / relabelling received invalid input."""
-
-
-class SchedulerError(ReproError):
-    """A scheduler object is inconsistent with the model it is applied to."""

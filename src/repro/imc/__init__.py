@@ -11,15 +11,13 @@ from repro.imc.alternating import (
 from repro.imc.composition import (
     hide,
     hide_all_but,
-    interleave,
     parallel,
-    parallel_many,
     parallel_with_map,
     relabel,
 )
 from repro.imc.elapse import elapse
 from repro.imc.labeled import LabeledIMC, add_tuples
-from repro.imc.lts import cycle_lts, lts
+from repro.imc.lts import lts
 from repro.imc.model import IMC, TAU, IMCBuilder, StateClass
 from repro.imc.transform import TransformResult, TransformStatistics, imc_to_ctmdp
 
@@ -36,15 +34,12 @@ __all__ = [
     "word_label",
     "hide",
     "hide_all_but",
-    "interleave",
     "parallel",
-    "parallel_many",
     "parallel_with_map",
     "relabel",
     "elapse",
     "LabeledIMC",
     "add_tuples",
-    "cycle_lts",
     "lts",
     "TransformResult",
     "TransformStatistics",

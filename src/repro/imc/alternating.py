@@ -27,7 +27,7 @@ deadlocks are rejected.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TransformationError
 from repro.imc.model import IMC, TAU, StateClass

@@ -16,13 +16,13 @@ compositional construction are the dominant cost (cf. the
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.errors import CompositionError
 from repro.imc.model import IMC, TAU
 from repro.obs import span
 
-__all__ = ["hide", "hide_all_but", "relabel", "parallel", "parallel_many", "parallel_with_map", "interleave"]
+__all__ = ["hide", "hide_all_but", "relabel", "parallel", "parallel_with_map"]
 
 
 def hide(imc: IMC, actions: Iterable[str]) -> IMC:
@@ -182,22 +182,3 @@ def parallel_with_map(
         if sp is not None:
             sp.annotate(states=product.num_states)
     return product, pairs
-
-
-def interleave(left: IMC, right: IMC) -> IMC:
-    """Pure interleaving ``left ||| right`` (empty synchronisation set)."""
-    return parallel(left, right, sync=())
-
-
-def parallel_many(components: Sequence[IMC], sync: Iterable[str] = ()) -> IMC:
-    """Left-associated fold of :func:`parallel` over ``components``.
-
-    ``parallel_many([a, b, c], A)`` builds ``(a |[A]| b) |[A]| c``; with
-    CSP semantics this realises multi-way synchronisation on ``A``.
-    """
-    if not components:
-        raise CompositionError("parallel_many needs at least one component")
-    result = components[0]
-    for component in components[1:]:
-        result = parallel(result, component, sync)
-    return result

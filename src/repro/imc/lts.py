@@ -1,20 +1,18 @@
 """Labelled transition systems as the Markov-free special case of IMCs.
 
 The paper treats LTSs as IMCs whose Markov transition relation is empty;
-by definition they are uniform with rate ``E = 0``.  This module provides
-small conveniences for building the behavioural skeletons (workstations,
-switches, repair units, ...) that are later composed with time
-constraints.
+by definition they are uniform with rate ``E = 0``.  :func:`lts` builds
+the behavioural skeletons (workstations, switches, repair units, ...)
+that are later composed with time constraints.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.errors import ModelError
 from repro.imc.model import IMC
 
-__all__ = ["lts", "cycle_lts"]
+__all__ = ["lts"]
 
 
 def lts(
@@ -43,19 +41,3 @@ def lts(
         initial=initial,
         state_names=list(state_names) if state_names is not None else None,
     )
-
-
-def cycle_lts(actions: Sequence[str], state_names: Sequence[str] | None = None) -> IMC:
-    """An LTS cycling through ``actions``: ``s0 -a0-> s1 -a1-> ... -> s0``.
-
-    This is the shape of every FTWC component (Figure 2 of the paper):
-    a workstation cycles through ``fail``, ``grab``, ``repair``,
-    ``release`` and is back in its operational state.
-    """
-    if not actions:
-        raise ModelError("cycle_lts needs at least one action")
-    n = len(actions)
-    transitions = [(k, actions[k], (k + 1) % n) for k in range(n)]
-    if state_names is not None and len(state_names) != n:
-        raise ModelError("cycle_lts needs one state name per action")
-    return lts(n, transitions, initial=0, state_names=state_names)

@@ -1,6 +1,6 @@
 """Interchange formats: ETMCC-style .tra/.lab files and GraphViz DOT."""
 
-from repro.io.dot import ctmc_to_dot, ctmdp_to_dot, imc_to_dot, write_dot
+from repro.io.dot import ctmdp_to_dot, write_dot
 from repro.io.json_io import (
     ctmc_from_json,
     ctmc_to_json,
@@ -21,9 +21,7 @@ from repro.io.tra import (
 )
 
 __all__ = [
-    "ctmc_to_dot",
     "ctmdp_to_dot",
-    "imc_to_dot",
     "write_dot",
     "ctmc_from_json",
     "ctmc_to_json",

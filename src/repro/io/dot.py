@@ -1,9 +1,8 @@
-"""GraphViz DOT export for IMCs, CTMCs and CTMDPs.
+"""GraphViz DOT export for CTMDPs (``repro export``).
 
-Intended for debugging and documentation: solid edges are interactive
-transitions (dashed for ``tau``), dotted edges are Markov transitions
-labelled with their rates; CTMDP hyperedges are rendered through small
-decision nodes, one per rate function.
+Intended for debugging and documentation: CTMDP hyperedges are rendered
+through small decision nodes, one per rate function, with edges
+labelled by their rates.
 """
 
 from __future__ import annotations
@@ -11,43 +10,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core.ctmdp import CTMDP
-from repro.ctmc.model import CTMC
-from repro.imc.model import IMC, TAU
 
-__all__ = ["imc_to_dot", "ctmc_to_dot", "ctmdp_to_dot", "write_dot"]
+__all__ = ["ctmdp_to_dot", "write_dot"]
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def imc_to_dot(imc: IMC, name: str = "imc") -> str:
-    """Render an IMC as a DOT digraph string."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for state in range(imc.num_states):
-        shape = "doublecircle" if state == imc.initial else "circle"
-        lines.append(f'  s{state} [label="{_escape(imc.name_of(state))}", shape={shape}];')
-    for src, action, dst in imc.interactive:
-        style = "dashed" if action == TAU else "solid"
-        lines.append(f'  s{src} -> s{dst} [label="{_escape(action)}", style={style}];')
-    for src, rate, dst in imc.markov:
-        lines.append(f'  s{src} -> s{dst} [label="{rate:g}", style=dotted];')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def ctmc_to_dot(ctmc: CTMC, name: str = "ctmc") -> str:
-    """Render a CTMC as a DOT digraph string."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for state in range(ctmc.num_states):
-        label = ctmc.state_names[state] if ctmc.state_names else str(state)
-        shape = "doublecircle" if state == ctmc.initial else "circle"
-        lines.append(f'  s{state} [label="{_escape(label)}", shape={shape}];')
-    matrix = ctmc.rates.tocoo()
-    for src, dst, rate in zip(matrix.row, matrix.col, matrix.data):
-        lines.append(f'  s{src} -> s{dst} [label="{rate:g}"];')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def ctmdp_to_dot(ctmdp: CTMDP, name: str = "ctmdp") -> str:

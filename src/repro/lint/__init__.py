@@ -7,8 +7,7 @@ A unified diagnostic framework over all model classes of the library:
   ``N002`` NaN/inf/negative rate, ...), :class:`Severity`,
   :class:`Diagnostic` and :class:`LintReport` with text/JSON renderers;
 * :mod:`repro.lint.analyzers` -- per-model-class analyzers for LTS, IMC,
-  CTMC, generator matrices, MDP and CTMDP, plus the :func:`lint_model`
-  dispatcher;
+  CTMC, MDP and CTMDP, plus the :func:`lint_model` dispatcher;
 * :mod:`repro.lint.pipeline` -- the invariant pass checking Lemmas 1-3
   and strict alternation across the composition -> transform ->
   bisimulation -> uCTMDP pipeline;
@@ -34,7 +33,6 @@ from repro.lint.analyzers import (
     lint_ctmc,
     lint_ctmdp,
     lint_dtmdp,
-    lint_generator,
     lint_imc,
     lint_lts,
     lint_model,
@@ -52,11 +50,7 @@ from repro.lint.diagnostics import (
 )
 from repro.lint.files import lint_path, lint_tra_scan, sibling_goal_mask
 from repro.lint.graph import lint_graph
-from repro.lint.pipeline import (
-    check_composition_invariant,
-    check_hiding_invariant,
-    lint_pipeline,
-)
+from repro.lint.pipeline import check_hiding_invariant, lint_pipeline
 from repro.lint.sanitize import env_flag, sanitize_enabled, sanitize_model, sanitizing
 
 __all__ = [
@@ -71,7 +65,6 @@ __all__ = [
     "lint_ctmc",
     "lint_ctmdp",
     "lint_dtmdp",
-    "lint_generator",
     "lint_imc",
     "lint_lts",
     "lint_model",
@@ -81,7 +74,6 @@ __all__ = [
     "lint_tra_scan",
     "sibling_goal_mask",
     "lint_pipeline",
-    "check_composition_invariant",
     "check_hiding_invariant",
     "env_flag",
     "sanitize_enabled",

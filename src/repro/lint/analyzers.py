@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from repro.core.ctmdp import CTMDP
 from repro.ctmc.model import CTMC
+from repro.graph.structure import TransitionGraph
 from repro.imc.model import IMC, TAU, StateClass
 from repro.lint.diagnostics import Diagnostic, make_diagnostic, sort_diagnostics
 from repro.mdp.model import DTMDP
@@ -42,7 +43,6 @@ __all__ = [
     "lint_ctmc",
     "lint_ctmdp",
     "lint_dtmdp",
-    "lint_generator",
     "lint_strict_alternation",
     "lint_model",
 ]
@@ -128,33 +128,35 @@ def _rows_of(matrix: sp.csr_matrix, data_positions: np.ndarray) -> np.ndarray:
 # IMC (and LTS)
 # ---------------------------------------------------------------------------
 def _interactive_cycle(imc: IMC, reachable: set[int]) -> tuple[int, ...] | None:
-    """Find a cycle of interactive transitions among reachable states."""
+    """Find a cycle of interactive transitions among reachable states.
+
+    Depth-first from each reachable state in index order, successors in
+    listed order; the first edge back onto the current path closes the
+    cycle.  The path is an explicit stack, so chains of any length fit.
+    """
     colour: dict[int, int] = {}
-    stack_trace: list[int] = []
-
-    def visit(state: int) -> tuple[int, ...] | None:
-        colour[state] = 1
-        stack_trace.append(state)
-        for _action, target in imc.interactive_successors(state):
-            if target not in reachable:
-                continue
-            mark = colour.get(target, 0)
-            if mark == 1:
-                cycle_start = stack_trace.index(target)
-                return tuple(stack_trace[cycle_start:])
-            if mark == 0:
-                found = visit(target)
-                if found is not None:
-                    return found
-        colour[state] = 2
-        stack_trace.pop()
-        return None
-
-    for state in sorted(reachable):
-        if colour.get(state, 0) == 0:
-            found = visit(state)
-            if found is not None:
-                return found
+    path: list[int] = []
+    for root in sorted(reachable):
+        if colour.get(root, 0):
+            continue
+        colour[root] = 1
+        path.append(root)
+        pending = [iter(imc.interactive_successors(root))]
+        while pending:
+            for _action, target in pending[-1]:
+                if target not in reachable:
+                    continue
+                mark = colour.get(target, 0)
+                if mark == 1:
+                    return tuple(path[path.index(target):])
+                if mark == 0:
+                    colour[target] = 1
+                    path.append(target)
+                    pending.append(iter(imc.interactive_successors(target)))
+                    break
+            else:
+                colour[path.pop()] = 2
+                pending.pop()
     return None
 
 
@@ -442,6 +444,9 @@ def lint_ctmc(
         Optional location tag attached to every finding.
     """
     findings = _csr_numeric_findings(ctmc.rates, "the rate matrix", location)
+    if any(f.code == "S002" for f in findings):
+        # Dangling indices make reachability undefined.
+        return sort_diagnostics(findings)
 
     n = ctmc.num_states
     exits = ctmc.exit_rates()
@@ -472,7 +477,7 @@ def lint_ctmc(
                     )
                 )
 
-    reachable = _ctmc_reachable(ctmc)
+    reachable = TransitionGraph.from_ctmc(ctmc).reachable_from()
     unreachable = np.flatnonzero(~reachable)
     if unreachable.size:
         findings.append(
@@ -523,81 +528,6 @@ def lint_ctmc(
     return sort_diagnostics(findings)
 
 
-def _ctmc_reachable(ctmc: CTMC) -> np.ndarray:
-    """Boolean mask of states reachable from the initial state."""
-    n = ctmc.num_states
-    seen = np.zeros(n, dtype=bool)
-    frontier = [ctmc.initial]
-    seen[ctmc.initial] = True
-    indptr, indices = ctmc.rates.indptr, ctmc.rates.indices
-    while frontier:
-        state = frontier.pop()
-        for target in indices[indptr[state] : indptr[state + 1]]:
-            if not seen[target]:
-                seen[target] = True
-                frontier.append(int(target))
-    return seen
-
-
-def lint_generator(generator: np.ndarray, location: str = "") -> list[Diagnostic]:
-    """Diagnostics for an infinitesimal generator matrix ``Q``.
-
-    Checks N002 (non-finite entries, negative off-diagonals) and N001
-    (rows not summing to zero -- the "generator row-sum drift" that
-    accumulates when generators are assembled numerically).
-    """
-    findings: list[Diagnostic] = []
-    q = np.asarray(generator, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        findings.append(
-            make_diagnostic(
-                "S005",
-                f"generator must be square, got shape {q.shape}",
-                location=location,
-            )
-        )
-        return findings
-    bad = ~np.isfinite(q)
-    if bad.any():
-        findings.append(
-            make_diagnostic(
-                "N002",
-                f"{int(bad.sum())} non-finite generator entr(y/ies)",
-                states=np.unique(np.nonzero(bad)[0]),
-                location=location,
-            )
-        )
-        return sort_diagnostics(findings)
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    negative_rows = np.unique(np.nonzero(off < 0.0)[0])
-    if negative_rows.size:
-        findings.append(
-            make_diagnostic(
-                "N002",
-                f"negative off-diagonal generator entr(y/ies) in "
-                f"{negative_rows.size} row(s)",
-                states=negative_rows,
-                location=location,
-            )
-        )
-    drift = q.sum(axis=1)
-    scale = np.maximum(1.0, np.abs(np.diag(q)))
-    drifting = np.flatnonzero(np.abs(drift) > 1e-9 * scale)
-    if drifting.size:
-        worst = float(np.abs(drift).max())
-        findings.append(
-            make_diagnostic(
-                "N001",
-                f"{drifting.size} generator row(s) do not sum to zero "
-                f"(worst drift {worst:.3g})",
-                states=drifting,
-                location=location,
-            )
-        )
-    return sort_diagnostics(findings)
-
-
 # ---------------------------------------------------------------------------
 # CTMDP
 # ---------------------------------------------------------------------------
@@ -616,6 +546,9 @@ def lint_ctmdp(
     and optionally the goal mask (``G001``/``G002``).
     """
     findings = _csr_numeric_findings(ctmdp.rate_matrix, "the rate matrix", location)
+    if any(f.code == "S002" for f in findings):
+        # Dangling indices make reachability undefined.
+        return sort_diagnostics(findings)
 
     n, t = ctmdp.num_states, ctmdp.num_transitions
     sources = ctmdp.sources
@@ -688,7 +621,7 @@ def lint_ctmdp(
             )
 
     absorbing = ctmdp.states_without_choices()
-    reachable = _ctmdp_reachable(ctmdp)
+    reachable = TransitionGraph.from_ctmdp(ctmdp).reachable_from()
     unreachable = np.flatnonzero(~reachable)
     if unreachable.size:
         findings.append(
@@ -731,25 +664,6 @@ def lint_ctmdp(
                 )
             )
     return sort_diagnostics(findings)
-
-
-def _ctmdp_reachable(ctmdp: CTMDP) -> np.ndarray:
-    """Boolean mask of states reachable (under any scheduler)."""
-    n = ctmdp.num_states
-    seen = np.zeros(n, dtype=bool)
-    seen[ctmdp.initial] = True
-    frontier = [ctmdp.initial]
-    matrix = ctmdp.rate_matrix
-    choice_ptr = ctmdp.choice_ptr
-    while frontier:
-        state = frontier.pop()
-        lo, hi = choice_ptr[state], choice_ptr[state + 1]
-        begin, end = matrix.indptr[lo], matrix.indptr[hi]
-        for target in matrix.indices[begin:end]:
-            if 0 <= target < n and not seen[target]:
-                seen[target] = True
-                frontier.append(int(target))
-    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""The pipeline invariant pass: Lemmas 1-3 and strict alternation, checked.
+"""The pipeline invariant pass: Lemmas 1 and 3 and strict alternation, checked.
 
 The paper's analysis trajectory -- compose, hide, minimise, transform --
 is correct because each step *preserves uniformity* (Lemmas 1-3) and the
 Section 4.1 transform establishes *strict alternation*.  The library
-maintains these invariants by construction; this module re-derives them
-on a concrete model and reports any drift as ``Pxxx`` diagnostics.  Use
+maintains these invariants by construction; this module re-derives the
+ones that apply to a single closed model (hiding, minimisation,
+transform) and reports any drift as ``Pxxx`` diagnostics.  Use
 it when touching :mod:`repro.imc.composition`,
 :mod:`repro.imc.transform` or :mod:`repro.bisim`, or when a cached model
 round-trips through disk and "still uniform, still alternating" should
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from repro.bisim.branching import branching_minimize
 from repro.errors import ReproError
-from repro.imc.composition import hide_all_but, parallel
+from repro.imc.composition import hide_all_but
 from repro.imc.model import IMC
 from repro.imc.transform import imc_to_ctmdp
 from repro.lint.analyzers import (
@@ -29,7 +30,7 @@ from repro.lint.analyzers import (
 )
 from repro.lint.diagnostics import Diagnostic, make_diagnostic, sort_diagnostics
 
-__all__ = ["lint_pipeline", "check_hiding_invariant", "check_composition_invariant"]
+__all__ = ["lint_pipeline", "check_hiding_invariant"]
 
 
 def _rates_agree(left: float, right: float) -> bool:
@@ -65,41 +66,6 @@ def check_hiding_invariant(imc: IMC, keep: tuple[str, ...] = ()) -> list[Diagnos
                 f"hiding changed the uniform rate from {rate:g} to "
                 f"{hidden_rate:g}",
                 location="hiding",
-            )
-        ]
-    return []
-
-
-def check_composition_invariant(
-    left: IMC, right: IMC, sync: tuple[str, ...] = ()
-) -> list[Diagnostic]:
-    """Lemma 2: parallel composition of uniform IMCs is uniform, rates adding.
-
-    A ``P005`` finding means the product construction has drifted: some
-    stable product state fails to combine a stable left state with a
-    stable right state, or rates no longer accumulate.
-    """
-    if not (left.is_uniform(closed=False) and right.is_uniform(closed=False)):
-        return []
-    expected = left.uniform_rate(closed=False) + right.uniform_rate(closed=False)
-    product = parallel(left, right, sync=sync)
-    if not product.is_uniform(closed=False):
-        return [
-            make_diagnostic(
-                "P005",
-                "the parallel product of two uniform IMCs is not uniform "
-                "although Lemma 2 guarantees it",
-                location="composition",
-            )
-        ]
-    actual = product.uniform_rate(closed=False)
-    if not _rates_agree(expected, actual):
-        return [
-            make_diagnostic(
-                "P005",
-                f"product uniform rate is {actual:g}, expected "
-                f"E_left + E_right = {expected:g} (Lemma 2)",
-                location="composition",
             )
         ]
     return []

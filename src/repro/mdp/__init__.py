@@ -1,6 +1,5 @@
-"""Discrete-time substrate: DTMC, DTMDP, value iteration."""
+"""Discrete-time substrate: the DTMDP."""
 
-from repro.mdp.model import DTMC, DTMDP
-from repro.mdp.value_iteration import bounded_reachability, unbounded_reachability
+from repro.mdp.model import DTMDP
 
-__all__ = ["DTMC", "DTMDP", "bounded_reachability", "unbounded_reachability"]
+__all__ = ["DTMDP"]

@@ -1,11 +1,8 @@
-"""Discrete-time Markov chains and Markov decision processes.
+"""Discrete-time Markov decision processes.
 
-The paper's background section places CTMDPs in the landscape of
-DTMC/DTMDP models; internally, the timed-reachability algorithm for
-uniform CTMDPs is a Poisson-weighted value iteration over exactly the
-embedded DTMDP built here.  The module therefore serves both as the
-discrete-time substrate of the library and as an independent
-implementation the tests cross-check against.
+The timed-reachability algorithm for uniform CTMDPs is a
+Poisson-weighted value iteration over exactly the embedded DTMDP built
+here; the qualitative graph analyses and the linter read it too.
 """
 
 from __future__ import annotations
@@ -17,57 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ModelError
-from repro.states import state_mask
 
-__all__ = ["DTMC", "DTMDP"]
-
-
-class DTMC:
-    """A discrete-time Markov chain with a sparse stochastic matrix."""
-
-    def __init__(
-        self, probabilities: sp.spmatrix | np.ndarray, initial: int = 0
-    ) -> None:
-        matrix = sp.csr_matrix(probabilities, dtype=np.float64)
-        n = matrix.shape[0]
-        if matrix.shape != (n, n):
-            raise ModelError("probability matrix must be square")
-        if matrix.nnz and matrix.data.min() < 0.0:
-            raise ModelError("probabilities must be non-negative")
-        row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-        if not np.allclose(row_sums, 1.0, atol=1e-9):
-            raise ModelError("every row must sum to one")
-        if not 0 <= initial < n:
-            raise ModelError("initial state out of range")
-        self.probabilities = matrix
-        self.initial = initial
-
-    @property
-    def num_states(self) -> int:
-        """Number of states."""
-        return self.probabilities.shape[0]
-
-    def distribution_after(self, steps: int, initial: np.ndarray | None = None) -> np.ndarray:
-        """State distribution after ``steps`` transitions."""
-        if steps < 0:
-            raise ModelError("step count must be non-negative")
-        if initial is None:
-            vec = np.zeros(self.num_states)
-            vec[self.initial] = 1.0
-        else:
-            vec = np.asarray(initial, dtype=np.float64)
-        for _ in range(steps):
-            vec = vec @ self.probabilities
-        return vec
-
-    def bounded_reachability(self, goal: Iterable[int], steps: int) -> np.ndarray:
-        """Probability, per state, to visit ``goal`` within ``steps`` steps."""
-        mask = state_mask(self.num_states, goal, "goal state")
-        q = mask.astype(np.float64)
-        for _ in range(steps):
-            q = self.probabilities @ q
-            q[mask] = 1.0
-        return q
+__all__ = ["DTMDP"]
 
 
 class DTMDP:

@@ -265,11 +265,6 @@ class FTWCModel:
     goal_mask: np.ndarray
     params: FTWCParameters
 
-    @property
-    def initial_value_index(self) -> int:
-        """Index of the all-operational initial state."""
-        return self.ctmdp.initial
-
 
 class _Configs(Sequence[Config]):
     """The configuration of each state, decoded from its code on access."""

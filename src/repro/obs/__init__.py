@@ -12,8 +12,8 @@ goal is measured against:
 * :mod:`repro.obs.certificate` -- numerical-health certificates
   (Fox-Glynn truncation accounting, sweep residuals, certified error
   bounds) attached to every solver result;
-* :mod:`repro.obs.export` -- JSONL trace export and the Prometheus
-  text exposition served by ``repro serve`` and the HTTP endpoint;
+* :mod:`repro.obs.export` -- the Prometheus text exposition served by
+  ``repro serve`` and the HTTP endpoint;
 * :mod:`repro.obs.http` -- the stdlib HTTP telemetry server
   (``/metrics``, ``/healthz``); imported lazily by the CLI, not
   re-exported here;
@@ -32,7 +32,7 @@ from repro.obs.certificate import (
     poisson_tail_mass,
     record_certificate,
 )
-from repro.obs.export import escape_label_value, prometheus_exposition, read_jsonl
+from repro.obs.export import escape_label_value, prometheus_exposition
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricStore
 from repro.obs.tracer import (
     Span,
@@ -60,7 +60,6 @@ __all__ = [
     "iterative_certificate",
     "poisson_tail_mass",
     "prometheus_exposition",
-    "read_jsonl",
     "record_certificate",
     "span",
     "summarize_durations",

@@ -1,16 +1,12 @@
-"""Trace and metric export: JSONL span dumps, Prometheus exposition.
+"""Metric export: the Prometheus exposition.
 
-Two consumers are served:
-
-* **trace tooling** -- :meth:`~repro.obs.tracer.Tracer.write_jsonl`
-  emits one span per line; :func:`read_jsonl` loads such a file back
-  into plain dictionaries for analysis scripts;
-* **scrapers** -- :func:`prometheus_exposition` renders a
-  :class:`~repro.obs.metrics.MetricStore` (counters, timers, gauges,
-  histograms, info metrics) in the Prometheus/OpenMetrics text format,
-  answered by ``repro serve`` on a literal ``/metrics`` request line
-  and by the HTTP telemetry server (:mod:`repro.obs.http`) on
-  ``GET /metrics``.
+:func:`prometheus_exposition` renders a
+:class:`~repro.obs.metrics.MetricStore` (counters, timers, gauges,
+histograms, info metrics) in the Prometheus/OpenMetrics text format,
+answered by ``repro serve`` on a literal ``/metrics`` request line and
+by the HTTP telemetry server (:mod:`repro.obs.http`) on ``GET
+/metrics``.  Span traces are written one span per line by
+:meth:`~repro.obs.tracer.Tracer.write_jsonl`.
 
 Metric name mangling follows the Prometheus conventions: counters get
 a ``_total`` suffix, timers become ``<name>_seconds_total`` (the stored
@@ -24,14 +20,13 @@ once, and label values are escaped per the text-format grammar
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Any, Iterable, Mapping
 
 from repro.obs.metrics import MetricStore
 
-__all__ = ["escape_label_value", "prometheus_exposition", "read_jsonl"]
+__all__ = ["escape_label_value", "prometheus_exposition"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -169,14 +164,3 @@ def prometheus_exposition(
             metric, "gauge", name, [f"{metric}{_render_labels(info_labels)} 1"]
         )
     return "\n".join(families.render() + ["# EOF"]) + "\n"
-
-
-def read_jsonl(path: Any) -> list[dict[str, Any]]:
-    """Load a JSONL span trace back into a list of dictionaries."""
-    records = []
-    with open(path, encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

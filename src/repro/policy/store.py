@@ -78,10 +78,9 @@ class CompressedDecisions:
 
     Supports enough of the ndarray protocol (``len``, ``shape``,
     ``decisions[i]`` for a row, ``decisions[i][s]``, ``decisions[:, s]``,
-    elementwise ``==``) that existing :class:`~repro.core.scheduler.StepScheduler`
-    consumers work unchanged; bulk consumers should prefer
-    :meth:`iter_rows` / :meth:`iter_rows_reversed`, which decode each
-    delta exactly once.
+    elementwise ``==``) that code written for the dense matrix works
+    unchanged; bulk consumers should prefer :meth:`iter_rows` /
+    :meth:`iter_rows_reversed`, which decode each delta exactly once.
     """
 
     def __init__(
@@ -438,24 +437,6 @@ class PolicyWriter:
         self._delta_states: list[np.ndarray] = []
         self._delta_choices: list[np.ndarray] = []
         self._finished = False
-
-    @property
-    def rows_written(self) -> int:
-        return self._rows
-
-    @property
-    def bytes_written(self) -> int:
-        """Approximate compressed bytes accumulated so far."""
-        payload = sum(a.nbytes for a in self._base_values) + sum(
-            a.nbytes for a in self._base_runs
-        )
-        payload += sum(a.nbytes for a in self._delta_states) + sum(
-            a.nbytes for a in self._delta_choices
-        )
-        return int(
-            payload + 8 * (len(self._base_counts) + 1) + 8 * len(self._changed_rows)
-            + 8 * (len(self._changed_rows) + 1)
-        )
 
     def append(self, row: np.ndarray) -> None:
         """Append the next decision row (physical order)."""

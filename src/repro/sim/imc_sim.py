@@ -13,15 +13,47 @@ them exactly when the resolution policy mirrors an extracted scheduler.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
 from repro.imc.model import IMC
-from repro.sim.simulate import SimulationEstimate, _estimate
 
-__all__ = ["Resolver", "random_resolver", "first_resolver", "simulate_imc_reachability"]
+__all__ = ["Resolver", "SimulationEstimate", "random_resolver", "simulate_imc_reachability"]
+
+
+@dataclass(frozen=True)
+class SimulationEstimate:
+    """A Monte-Carlo estimate with its standard error.
+
+    Attributes
+    ----------
+    probability:
+        Fraction of runs that reached the goal within the bound.
+    standard_error:
+        Binomial standard error of the estimate.
+    runs:
+        Number of simulated trajectories.
+    """
+
+    probability: float
+    standard_error: float
+    runs: int
+
+    def confidence_interval(self, z: float = 3.0) -> tuple[float, float]:
+        """``z``-sigma confidence interval, clipped to ``[0, 1]``."""
+        low = max(0.0, self.probability - z * self.standard_error)
+        high = min(1.0, self.probability + z * self.standard_error)
+        return low, high
+
+
+def _estimate(hits: int, runs: int) -> SimulationEstimate:
+    p = hits / runs
+    se = float(np.sqrt(max(p * (1.0 - p), 1.0 / runs) / runs))
+    return SimulationEstimate(probability=p, standard_error=se, runs=runs)
+
 
 #: A resolution policy: given the IMC, the current state and the
 #: time-abstract history (state sequence), return the index of the
@@ -34,15 +66,6 @@ def random_resolver(rng: np.random.Generator) -> Resolver:
 
     def resolve(imc: IMC, state: int, history: Sequence[int]) -> int:
         return int(rng.integers(len(imc.interactive_successors(state))))
-
-    return resolve
-
-
-def first_resolver() -> Resolver:
-    """Always take the first listed interactive transition."""
-
-    def resolve(imc: IMC, state: int, history: Sequence[int]) -> int:
-        return 0
 
     return resolve
 

@@ -1,6 +1,5 @@
 """Tests for the experiment harness and table rendering."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import (

@@ -1,13 +1,8 @@
 """Tests for the parameter-sweep sensitivity analyses."""
 
-import csv
-
-import numpy as np
 import pytest
 
-from repro.analysis.experiments import figure4_curves
 from repro.analysis.sweeps import (
-    curves_to_csv,
     sweep_cluster_size,
     sweep_failure_rate,
     sweep_repair_speed,
@@ -38,23 +33,3 @@ class TestSweeps:
             sweep_repair_speed(1, (0.0,))
         with pytest.raises(ValueError):
             sweep_failure_rate(1, (-1.0,))
-
-
-class TestCSVExport:
-    def test_round_trip(self, tmp_path):
-        curves = figure4_curves(1, time_points=(0.0, 50.0, 100.0), gamma=10.0)
-        path = tmp_path / "figure4.csv"
-        curves_to_csv(curves, path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["t_hours", "ctmdp_sup", "ctmdp_inf", "ctmc"]
-        assert len(rows) == 4
-        assert float(rows[2][1]) == pytest.approx(curves.ctmdp_max[1], rel=1e-10)
-
-    def test_without_min_curve(self, tmp_path):
-        curves = figure4_curves(1, time_points=(50.0,), include_min=False)
-        path = tmp_path / "nomin.csv"
-        curves_to_csv(curves, path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["t_hours", "ctmdp_sup", "ctmc"]

@@ -1,7 +1,5 @@
 """Edge-case tests for the table renderers."""
 
-import pytest
-
 from repro.analysis.tables import _render_grid, format_bytes, render_table1
 
 

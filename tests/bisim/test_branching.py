@@ -1,6 +1,5 @@
 """Tests for stochastic branching bisimulation (Definition 6, Lemma 3)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 

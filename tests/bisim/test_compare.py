@@ -1,17 +1,17 @@
-"""Tests for IMC equivalence checking (disjoint-union bisimilarity)."""
+"""Tests for the IMC equivalence oracle (disjoint-union bisimilarity)."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.bisim.branching import branching_minimize
-from repro.bisim.compare import (
+from repro.errors import ModelError
+from repro.imc.model import IMC, TAU
+from tests.conftest import random_imcs
+from tests.oracles.bisim import (
     are_branching_bisimilar,
     are_strongly_bisimilar,
     disjoint_union,
 )
-from repro.errors import ModelError
-from repro.imc.model import IMC, TAU
-from tests.conftest import random_imcs
-from hypothesis import given, settings
 
 
 class TestDisjointUnion:

@@ -19,7 +19,6 @@ import math
 import random
 
 import numpy as np
-import pytest
 
 from repro.bisim.branching import branching_bisimulation
 from repro.bisim.signatures import (
@@ -28,8 +27,8 @@ from repro.bisim.signatures import (
     rate_signature,
     stable_rate_sum,
 )
-from repro.bisim.strong import strong_bisimulation
 from repro.imc.model import IMC
+from tests.oracles.bisim import strong_bisimulation
 
 
 class TestQuantizeRate:

@@ -1,12 +1,11 @@
-"""Tests for strong stochastic bisimulation."""
+"""Tests for the strong stochastic bisimulation oracle."""
 
-import pytest
 from hypothesis import given, settings
 
-from repro.bisim.strong import strong_bisimulation, strong_minimize
 from repro.bisim.branching import branching_bisimulation
 from repro.imc.model import IMC, TAU
 from tests.conftest import random_imcs, random_uniform_imcs
+from tests.oracles.bisim import strong_bisimulation, strong_minimize
 
 
 class TestBasics:

@@ -134,7 +134,7 @@ class TestEmbedding:
         import numpy as np
 
         from repro.core.reachability import unbounded_reachability
-        from repro.mdp.value_iteration import (
+        from tests.oracles.value_iteration import (
             unbounded_reachability as dtmdp_unbounded,
         )
 

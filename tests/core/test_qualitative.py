@@ -6,9 +6,9 @@ from hypothesis import given, settings
 
 from repro.core.ctmdp import CTMDP
 from repro.graph import graph_of, prob0_forall, prob1_exists, prob1_forall
-from repro.mdp import unbounded_reachability
 from repro.models.ftwc_direct import build_ctmdp
 from tests.core.test_reachability_properties import models_with_goals
+from tests.oracles.value_iteration import unbounded_reachability
 
 
 @pytest.fixture

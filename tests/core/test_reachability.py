@@ -7,12 +7,16 @@ import pytest
 
 from repro.core.ctmdp import CTMDP
 from repro.core.reachability import timed_reachability, unbounded_reachability
-from repro.core.scheduler import StepScheduler, UniformRandomScheduler
 from repro.ctmc.model import CTMC
 from repro.ctmc.reachability import timed_reachability as ctmc_reachability
 from repro.errors import ModelError, NonUniformError
-from repro.models.zoo import erlang_vs_exponential_race, two_phase_race_ctmdp
-from repro.sim.simulate import simulate_ctmdp_reachability
+from repro.models.zoo import two_phase_race_ctmdp
+from tests.oracles.simulate import (
+    StepScheduler,
+    UniformRandomScheduler,
+    simulate_ctmdp_reachability,
+)
+from tests.zoo import erlang_vs_exponential_race
 
 
 def single_action_ctmdp_from_ctmc(chain: CTMC) -> CTMDP:

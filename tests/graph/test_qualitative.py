@@ -27,12 +27,12 @@ from repro.graph import (
     prob1_forall,
     qualitative_analysis,
 )
-from repro.mdp import unbounded_reachability
 from repro.models import ftwc_direct
 from tests.core.test_reachability_properties import (
     models_with_goals,
     random_uniform_ctmdps,
 )
+from tests.oracles.value_iteration import unbounded_reachability
 
 
 @st.composite

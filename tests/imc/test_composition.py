@@ -8,15 +8,14 @@ from repro.errors import CompositionError
 from repro.imc.composition import (
     hide,
     hide_all_but,
-    interleave,
     parallel,
-    parallel_many,
     parallel_with_map,
     relabel,
 )
 from repro.imc.lts import lts
 from repro.imc.model import IMC, TAU
 from tests.conftest import random_uniform_imcs
+from tests.oracles.bisim import are_strongly_bisimilar
 
 
 class TestHide:
@@ -127,23 +126,19 @@ class TestParallelSOS:
         right = lts(1, [], state_names=["R"])
         assert parallel(left, right).state_names == ["L|R"]
 
-    def test_parallel_many_folds(self):
+    def test_nested_products_synchronise_three_ways(self):
         a = lts(2, [(0, "x", 1)])
-        product = parallel_many([a, a, a], sync=["x"])
+        product = parallel(parallel(a, a, sync=["x"]), a, sync=["x"])
         # Three-way synchronisation: single x edge.
         assert len(product.interactive) == 1
         assert product.num_states == 2
-
-    def test_parallel_many_empty_rejected(self):
-        with pytest.raises(CompositionError):
-            parallel_many([])
 
 
 class TestLemma2:
     @given(left=random_uniform_imcs(rate=2.0), right=random_uniform_imcs(rate=3.0))
     @settings(max_examples=40, deadline=None)
     def test_uniform_rates_add_up(self, left, right):
-        product = interleave(left, right)
+        product = parallel(left, right)
         assert product.is_uniform()
         # If any stable product state is reachable, the rate is the sum.
         stable = [
@@ -166,8 +161,6 @@ class TestAlgebraicLaws:
     @given(left=random_uniform_imcs(rate=2.0), right=random_uniform_imcs(rate=3.0))
     @settings(max_examples=25, deadline=None)
     def test_commutative_up_to_bisimilarity(self, left, right):
-        from repro.bisim.compare import are_strongly_bisimilar
-
         assert are_strongly_bisimilar(
             parallel(left, right, sync=["a"]), parallel(right, left, sync=["a"])
         )
@@ -179,8 +172,6 @@ class TestAlgebraicLaws:
     )
     @settings(max_examples=15, deadline=None)
     def test_associative_up_to_bisimilarity(self, first, second, third):
-        from repro.bisim.compare import are_strongly_bisimilar
-
         sync = ["a"]
         left_grouping = parallel(parallel(first, second, sync), third, sync)
         right_grouping = parallel(first, parallel(second, third, sync), sync)

@@ -1,11 +1,9 @@
 """Tests for the LTS helpers."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.imc.lts import cycle_lts, lts
+from repro.imc.lts import lts
 
 
 class TestLts:
@@ -27,36 +25,16 @@ class TestLts:
         with pytest.raises(ModelError):
             lts(1, [(0, "a", 5)])
 
-
-class TestCycleLts:
-    def test_ftwc_component_shape(self):
-        model = cycle_lts(["fail", "grab", "repair", "release"])
-        assert model.num_states == 4
-        # Last action closes the cycle.
-        assert (3, "release", 0) in model.interactive
-
-    def test_single_action_self_loop(self):
-        model = cycle_lts(["tick"])
-        assert model.interactive == [(0, "tick", 0)]
-
     def test_names_checked(self):
         with pytest.raises(ModelError):
-            cycle_lts(["a", "b"], state_names=["only-one"])
+            lts(2, [(0, "a", 1)], state_names=["only-one"])
 
-    def test_empty_rejected(self):
+    def test_initial_threaded(self):
+        model = lts(3, [(0, "a", 1), (1, "b", 2)], initial=2)
+        assert model.initial == 2
         with pytest.raises(ModelError):
-            cycle_lts([])
+            lts(3, [(0, "a", 1)], initial=3)
 
-    @given(length=st.integers(2, 8))
-    @settings(max_examples=20, deadline=None)
-    def test_cycle_visits_every_state(self, length):
-        actions = [f"a{k}" for k in range(length)]
-        model = cycle_lts(actions)
-        # Following the unique transitions returns to the start after
-        # exactly `length` steps.
-        state = model.initial
-        for _ in range(length):
-            moves = model.interactive_successors(state)
-            assert len(moves) == 1
-            state = moves[0][1]
-        assert state == model.initial
+    def test_transitions_may_be_a_generator(self):
+        model = lts(3, ((k, "tick", k + 1) for k in range(2)))
+        assert model.interactive == [(0, "tick", 1), (1, "tick", 2)]

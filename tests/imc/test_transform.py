@@ -17,14 +17,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.reachability import timed_reachability
-from repro.core.scheduler import UniformRandomScheduler
 from repro.ctmc.model import CTMC
 from repro.ctmc.reachability import timed_reachability as ctmc_reachability
 from repro.errors import TransformationError
 from repro.imc.model import IMC, TAU, IMCBuilder
 from repro.imc.transform import imc_to_ctmdp
-from repro.sim.simulate import simulate_ctmdp_reachability
 from tests.conftest import random_closed_uniform_imcs
+from tests.oracles.simulate import UniformRandomScheduler, simulate_ctmdp_reachability
 
 
 class TestDeterministicEquivalence:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.ctmdp import CTMDP
 from repro.ctmc.model import CTMC
 from repro.errors import ModelError
-from repro.io.dot import ctmc_to_dot, ctmdp_to_dot, imc_to_dot, write_dot
+from repro.io.dot import ctmdp_to_dot, write_dot
 from repro.io.tra import (
     read_ctmc_tra,
     read_ctmdp_tra,
@@ -14,7 +15,6 @@ from repro.io.tra import (
     write_ctmdp_tra,
     write_labels,
 )
-from repro.imc.model import IMC, TAU
 from repro.models.zoo import two_phase_race_ctmdp
 
 
@@ -90,25 +90,6 @@ class TestLabels:
 
 
 class TestDot:
-    def test_imc_dot_marks_transition_kinds(self):
-        imc = IMC(
-            num_states=2,
-            interactive=[(0, "a", 1), (1, TAU, 0)],
-            markov=[(0, 2.0, 1)],
-            state_names=["first", "second"],
-        )
-        dot = imc_to_dot(imc)
-        assert "digraph" in dot
-        assert "first" in dot and "second" in dot
-        assert "style=dashed" in dot  # tau
-        assert "style=dotted" in dot  # Markov
-        assert 'label="2"' in dot
-
-    def test_ctmc_dot(self):
-        chain = CTMC.from_transitions(2, [(0, 1, 1.5)])
-        dot = ctmc_to_dot(chain)
-        assert 'label="1.5"' in dot
-
     def test_ctmdp_dot_has_decision_nodes(self):
         ctmdp, _ = two_phase_race_ctmdp()
         dot = ctmdp_to_dot(ctmdp)
@@ -116,7 +97,34 @@ class TestDot:
         assert "direct" in dot and "detour" in dot
 
     def test_write_dot(self, tmp_path):
-        chain = CTMC.from_transitions(2, [(0, 1, 1.0)])
-        path = tmp_path / "chain.dot"
-        write_dot(ctmc_to_dot(chain), path)
+        ctmdp, _ = two_phase_race_ctmdp()
+        path = tmp_path / "race.dot"
+        write_dot(ctmdp_to_dot(ctmdp), path)
         assert path.read_text().startswith("digraph")
+
+    def test_one_labelled_edge_per_rate_entry(self):
+        ctmdp, _ = two_phase_race_ctmdp()
+        lines = ctmdp_to_dot(ctmdp).splitlines()
+        rate_edges = [line for line in lines if line.startswith("  d") and "->" in line]
+        assert len(rate_edges) == ctmdp.rate_matrix.nnz
+        # The goal's self-loop keeps its rate, printed with %g.
+        assert '  d3 -> s2 [label="11"];' in lines
+        hyperedges = [line for line in lines if line.endswith("[arrowhead=none];")]
+        assert len(hyperedges) == ctmdp.num_transitions
+
+    def test_initial_state_is_double_circle(self):
+        ctmdp = CTMDP.from_transitions(
+            2, [(0, "a", {1: 1.0}), (1, "a", {0: 1.0})], initial=1
+        )
+        dot = ctmdp_to_dot(ctmdp)
+        # Unnamed states are labelled by their index.
+        assert '  s0 [label="0", shape=circle];' in dot
+        assert '  s1 [label="1", shape=doublecircle];' in dot
+
+    def test_labels_escaped(self):
+        ctmdp = CTMDP.from_transitions(
+            1, [(0, 'say "hi"', {0: 1.0})], state_names=["C:\\tmp"]
+        )
+        dot = ctmdp_to_dot(ctmdp)
+        assert '[label="C:\\\\tmp", shape=doublecircle]' in dot
+        assert '[label="say \\"hi\\"", shape=point]' in dot

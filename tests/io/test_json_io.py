@@ -17,7 +17,8 @@ from repro.io.json_io import (
     load_model,
     save_model,
 )
-from repro.models.zoo import queue_with_breakdowns, two_phase_race_ctmdp
+from repro.models.zoo import two_phase_race_ctmdp
+from tests.zoo import queue_with_breakdowns
 
 
 class TestRoundTrips:

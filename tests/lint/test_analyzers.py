@@ -2,20 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.ctmdp import CTMDP
 from repro.ctmc.model import CTMC
 from repro.imc.model import IMC, TAU
 from repro.imc.transform import imc_to_ctmdp
+from repro.io.json_io import save_model
 from repro.lint import (
     Severity,
     lint_ctmc,
     lint_ctmdp,
     lint_dtmdp,
-    lint_generator,
     lint_imc,
     lint_lts,
     lint_model,
+    lint_path,
     lint_strict_alternation,
 )
 from repro.mdp.model import DTMDP
@@ -74,28 +76,10 @@ class TestLintCtmc:
         goal = np.array([False, True])
         assert "G003" not in codes(lint_ctmc(chain, goal=goal))
 
-
-class TestLintGenerator:
-    def test_clean_generator(self):
-        q = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        assert lint_generator(q) == []
-
-    def test_row_sum_drift(self):
-        q = np.array([[-1.0, 1.0], [2.0, -2.5]])
-        findings = lint_generator(q)
-        drift = next(f for f in findings if f.code == "N001")
-        assert drift.states == (1,)
-
-    def test_negative_off_diagonal(self):
-        q = np.array([[1.0, -1.0], [2.0, -2.0]])
-        assert "N002" in codes(lint_generator(q), Severity.ERROR)
-
-    def test_non_finite_entries(self):
-        q = np.array([[-np.inf, np.inf], [2.0, -2.0]])
-        assert codes(lint_generator(q)) == {"N002"}
-
-    def test_non_square(self):
-        assert "S005" in codes(lint_generator(np.zeros((2, 3))))
+    def test_dangling_target_injected(self):
+        chain = CTMC.from_transitions(2, [(0, 1, 1.0), (1, 0, 1.0)])
+        chain.rates.indices[0] = 7
+        assert "S002" in codes(lint_ctmc(chain), Severity.ERROR)
 
 
 class TestLintCtmdp:
@@ -154,6 +138,11 @@ class TestLintCtmdp:
             lint_ctmdp(self.uniform(), goal=np.zeros(5, dtype=bool))
         )
 
+    def test_dangling_target_injected(self):
+        model = self.uniform()
+        model.rate_matrix.indices[0] = 7
+        assert "S002" in codes(lint_ctmdp(model), Severity.ERROR)
+
 
 class TestLintDtmdp:
     def test_clean(self):
@@ -170,6 +159,48 @@ class TestLintDtmdp:
         findings = lint_dtmdp(mdp)
         drift = next(f for f in findings if f.code == "N001")
         assert drift.states == (0,)
+
+    def test_drift_names_the_source_state(self):
+        # Row 1 is state 0's second choice: the finding names state 0.
+        mdp = DTMDP.from_transitions(
+            2, [(0, "a", {1: 1.0}), (0, "b", {0: 1.0}), (1, "a", {0: 1.0})]
+        )
+        mdp.probabilities.data[1] = 0.5
+        (drift,) = lint_dtmdp(mdp)
+        assert (drift.code, drift.states) == ("N001", (0,))
+
+    def test_negative_entry_injected(self):
+        mdp = DTMDP.from_transitions(
+            2, [(0, "a", {1: 1.0}), (1, "a", {0: 1.0})]
+        )
+        mdp.probabilities.data[1] = -1.0
+        negative = next(f for f in lint_dtmdp(mdp) if f.code == "N002")
+        assert negative.severity is Severity.ERROR
+        assert negative.states == (1,)
+
+    def test_non_finite_entry_injected(self):
+        # The mass check is skipped: a NaN row sum says nothing more.
+        mdp = DTMDP.from_transitions(
+            2, [(0, "a", {1: 1.0}), (1, "a", {0: 1.0})]
+        )
+        mdp.probabilities.data[0] = np.inf
+        assert codes(lint_dtmdp(mdp)) == {"N002"}
+
+    def test_dangling_target_injected(self):
+        mdp = DTMDP.from_transitions(
+            2, [(0, "a", {1: 1.0}), (1, "a", {0: 1.0})]
+        )
+        mdp.probabilities.indices[0] = 7
+        assert "S002" in codes(lint_dtmdp(mdp), Severity.ERROR)
+
+    def test_explicitly_stored_zero(self):
+        matrix = sp.csr_matrix(
+            (np.array([1.0, 0.0, 1.0]), (np.array([0, 0, 1]), np.array([1, 0, 0]))),
+            shape=(2, 2),
+        )
+        mdp = DTMDP(2, np.array([0, 1]), ["a", "a"], matrix)
+        assert codes(lint_dtmdp(mdp), Severity.WARNING) == {"N003"}
+        assert codes(lint_dtmdp(mdp), Severity.ERROR) == set()
 
 
 class TestLintLts:
@@ -230,6 +261,26 @@ class TestLintImcEdgeCases:
         imc.markov[0] = (0, 2.0, 7)
         findings = lint_imc(imc)
         assert "S002" in codes(findings, Severity.ERROR)
+
+    #: Longer than the interpreter's default recursion limit.
+    LONG = 5_000
+
+    def test_long_interactive_chain(self, tmp_path):
+        n = self.LONG
+        chain = IMC(
+            num_states=n,
+            interactive=[(s, "a", s + 1) for s in range(n - 1)],
+            markov=[(n - 1, 1.0, 0)],
+        )
+        path = tmp_path / "chain.json"
+        save_model(chain, path)
+        assert lint_path(path).codes() == {"U001", "S003"}
+
+    def test_long_tau_cycle_named_in_full(self):
+        n = self.LONG
+        cycle = IMC(num_states=n, interactive=[(s, TAU, (s + 1) % n) for s in range(n)])
+        (zeno,) = [f for f in lint_imc(cycle) if f.code == "A001"]
+        assert zeno.states == tuple(range(n))
 
 
 class TestDispatch:

@@ -1,16 +1,46 @@
 """Tests for the pipeline invariant pass (Lemmas 1-3, Section 4.1)."""
 
+from repro.imc.composition import parallel
 from repro.imc.model import IMC, TAU
-from repro.lint import (
-    check_composition_invariant,
-    check_hiding_invariant,
-    lint_pipeline,
-)
+from repro.lint import check_hiding_invariant, lint_pipeline
+from repro.lint.diagnostics import Diagnostic, make_diagnostic
+from repro.lint.pipeline import _rates_agree
 from repro.models.ftwc import build_system_imc
 
 
 def codes(findings):
     return {f.code for f in findings}
+
+
+def check_composition_invariant(
+    left: IMC, right: IMC, sync: tuple[str, ...] = ()
+) -> list[Diagnostic]:
+    """Lemma 2 on the production ``parallel``: the product of two uniform
+    IMCs is uniform, with the two rates added (``P005`` otherwise)."""
+    if not (left.is_uniform(closed=False) and right.is_uniform(closed=False)):
+        return []
+    expected = left.uniform_rate(closed=False) + right.uniform_rate(closed=False)
+    product = parallel(left, right, sync=sync)
+    if not product.is_uniform(closed=False):
+        return [
+            make_diagnostic(
+                "P005",
+                "the parallel product of two uniform IMCs is not uniform "
+                "although Lemma 2 guarantees it",
+                location="composition",
+            )
+        ]
+    actual = product.uniform_rate(closed=False)
+    if not _rates_agree(expected, actual):
+        return [
+            make_diagnostic(
+                "P005",
+                f"product uniform rate is {actual:g}, expected "
+                f"E_left + E_right = {expected:g} (Lemma 2)",
+                location="composition",
+            )
+        ]
+    return []
 
 
 def uniform_imc(rate: float = 2.0) -> IMC:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.ctmdp import CTMDP
 from repro.ctmc.model import CTMC
 from repro.errors import ModelError
 from repro.logic import (

@@ -1,12 +1,12 @@
-"""Tests for the discrete-time MDP/DTMC substrate."""
+"""Tests for the DTMDP and the plain value-iteration oracle."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.errors import ModelError
-from repro.mdp.model import DTMC, DTMDP
-from repro.mdp.value_iteration import bounded_reachability, unbounded_reachability
+from repro.mdp.model import DTMDP
+from tests.oracles.value_iteration import unbounded_reachability
 
 
 @pytest.fixture
@@ -24,32 +24,6 @@ def coin_mdp() -> DTMDP:
     )
 
 
-class TestDTMC:
-    def test_distribution_evolution(self):
-        chain = DTMC(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(chain.distribution_after(0), [1.0, 0.0])
-        np.testing.assert_allclose(chain.distribution_after(1), [0.0, 1.0])
-        np.testing.assert_allclose(chain.distribution_after(2), [1.0, 0.0])
-
-    def test_bounded_reachability(self):
-        chain = DTMC(np.array([[0.5, 0.5], [0.0, 1.0]]))
-        values = chain.bounded_reachability([1], 2)
-        assert values[0] == pytest.approx(0.75)
-
-    def test_substochastic_rejected(self):
-        with pytest.raises(ModelError):
-            DTMC(np.array([[0.5, 0.4], [0.0, 1.0]]))
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ModelError):
-            DTMC(np.array([[1.5, -0.5], [0.0, 1.0]]))
-
-    def test_negative_steps_rejected(self):
-        chain = DTMC(np.eye(2))
-        with pytest.raises(ModelError):
-            chain.distribution_after(-1)
-
-
 class TestDTMDP:
     def test_construction_sorted(self, coin_mdp):
         assert list(coin_mdp.sources) == sorted(coin_mdp.sources)
@@ -60,32 +34,47 @@ class TestDTMDP:
         with pytest.raises(ModelError):
             DTMDP.from_transitions(2, [(0, "a", {1: 0.5})])
 
-    def test_bounded_max(self, coin_mdp):
-        # One step: gamble gives 0.5; walking cannot arrive yet.
-        one = bounded_reachability(coin_mdp, [2], 1)
-        assert one[0] == pytest.approx(0.5)
-        # Two steps: walking arrives surely.
-        two = bounded_reachability(coin_mdp, [2], 2)
-        assert two[0] == pytest.approx(1.0)
+    def test_negative_probability_rejected(self):
+        # The mass sums to one; the negative entry alone is at fault.
+        with pytest.raises(ModelError, match="non-negative"):
+            DTMDP.from_transitions(2, [(0, "a", {1: 1.5, 0: -0.5})])
 
-    def test_bounded_min(self, coin_mdp):
-        two = bounded_reachability(coin_mdp, [2], 2, objective="min")
-        assert two[0] == pytest.approx(0.5)
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(ModelError):
+            DTMDP.from_transitions(2, [(0, "a", {1: float("nan")})])
+
+    def test_zero_probabilities_not_stored(self):
+        mdp = DTMDP.from_transitions(2, [(0, "a", {0: 0.0, 1: 1.0}), (1, "a", {1: 1.0})])
+        assert mdp.probabilities.nnz == 2
+        assert list(mdp.probabilities.indices) == [1, 1]
+
+    def test_state_without_choices(self):
+        mdp = DTMDP.from_transitions(3, [(0, "a", {1: 1.0}), (2, "a", {2: 1.0})])
+        assert [mdp.num_choices(s) for s in range(3)] == [1, 0, 1]
+        assert list(mdp.choice_ptr) == [0, 1, 1, 2]
+
+    def test_substochastic_matrix_rejected(self):
+        matrix = sp.csr_matrix(np.array([[0.9, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ModelError, match="sum to one"):
+            DTMDP(2, np.array([0, 1]), ["a", "a"], matrix)
+
+    def test_shape_mismatch_rejected(self):
+        matrix = sp.csr_matrix(np.eye(3)[:2])
+        with pytest.raises(ModelError, match="shape"):
+            DTMDP(2, np.array([0, 1]), ["a", "a"], matrix)
+
+    def test_unsorted_sources_rejected(self):
+        with pytest.raises(ModelError, match="sorted"):
+            DTMDP(2, np.array([1, 0]), ["a", "a"], sp.csr_matrix(np.eye(2)))
+
+    def test_initial_out_of_range_rejected(self):
+        with pytest.raises(ModelError, match="initial"):
+            DTMDP(2, np.array([0, 1]), ["a", "a"], sp.csr_matrix(np.eye(2)), initial=2)
 
     def test_unbounded(self, coin_mdp):
         assert unbounded_reachability(coin_mdp, [2])[0] == pytest.approx(1.0)
         assert unbounded_reachability(coin_mdp, [2], objective="min")[0] == pytest.approx(0.5)
 
-    def test_zero_steps(self, coin_mdp):
-        values = bounded_reachability(coin_mdp, [2], 0)
-        np.testing.assert_allclose(values, [0.0, 0.0, 1.0, 0.0])
-
     def test_bad_objective(self, coin_mdp):
         with pytest.raises(ModelError):
-            bounded_reachability(coin_mdp, [2], 1, objective="x")
-        with pytest.raises(ModelError):
             unbounded_reachability(coin_mdp, [2], objective="x")
-
-    def test_negative_steps_rejected(self, coin_mdp):
-        with pytest.raises(ModelError):
-            bounded_reachability(coin_mdp, [2], -1)

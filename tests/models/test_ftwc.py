@@ -1,9 +1,7 @@
 """Tests for the compositional FTWC construction (Section 5)."""
 
-import numpy as np
 import pytest
 
-from repro.bisim.compare import are_branching_bisimilar
 from repro.core.reachability import timed_reachability
 from repro.imc.labeled import LabeledIMC
 from repro.imc.transform import imc_to_ctmdp
@@ -16,6 +14,7 @@ from repro.models.ftwc import (
     repair_station,
 )
 from repro.models.ftwc_direct import FTWCParameters, build_ctmdp, uniform_rate
+from tests.oracles.bisim import are_branching_bisimilar
 from tests.oracles.ftwc import interleaved_system_imc
 
 

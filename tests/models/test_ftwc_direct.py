@@ -3,7 +3,6 @@ match against the paper's Table 1 model statistics."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import PAPER_TABLE1

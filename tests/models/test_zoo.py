@@ -1,18 +1,18 @@
 """Tests for the example-model zoo."""
 
-import numpy as np
 import pytest
 
 from repro.core.reachability import timed_reachability
 from repro.ctmc.uniformization import steady_state_analysis
 from repro.errors import ModelError
 from repro.imc.transform import imc_to_ctmdp
-from repro.models.zoo import (
+from repro.models.zoo import two_phase_race_ctmdp
+from tests.zoo import (
     cyclic_ctmc,
     erlang_vs_exponential_race,
     producer_consumer_imc,
     queue_with_breakdowns,
-    two_phase_race_ctmdp,
+    tandem_queue,
 )
 
 
@@ -91,16 +91,12 @@ class TestProducerConsumer:
 
 class TestTandemQueue:
     def test_structure(self):
-        from repro.models.zoo import tandem_queue
-
         chain, goal = tandem_queue(capacity=2)
         assert chain.num_states == 9
         assert goal.sum() == 1
 
     def test_congestion_probability_grows_with_load(self):
         from repro.ctmc.reachability import timed_reachability as ctmc_reach
-        from repro.models.zoo import tandem_queue
-
         values = []
         for arrival in (0.5, 1.5, 4.0):
             chain, goal = tandem_queue(capacity=2, arrival=arrival)
@@ -109,16 +105,12 @@ class TestTandemQueue:
 
     def test_steady_state_mass_balances(self):
         from repro.ctmc.uniformization import steady_state_analysis
-        from repro.models.zoo import tandem_queue
-
         chain, _ = tandem_queue(capacity=2)
         pi = steady_state_analysis(chain).distribution
         assert pi.sum() == pytest.approx(1.0)
         assert (pi > 0.0).all()  # irreducible
 
     def test_validation(self):
-        from repro.models.zoo import tandem_queue
-
         with pytest.raises(ModelError):
             tandem_queue(capacity=0)
         with pytest.raises(ModelError):

@@ -122,25 +122,23 @@ class TestSolverTracing:
         assert "histogram" in steps
 
     def test_vi_sweep_records_step_histogram(self):
-        """MDP value iteration sweeps carry the same per-step summary."""
-        from repro.mdp.model import DTMDP
-        from repro.mdp.value_iteration import bounded_reachability, unbounded_reachability
+        """Unbounded value iteration sweeps carry the same per-step summary."""
+        from repro.core.ctmdp import CTMDP
+        from repro.core.reachability import unbounded_reachability
 
-        mdp = DTMDP.from_transitions(
+        ctmdp = CTMDP.from_transitions(
             3,
             [
-                (0, "a", {1: 0.5, 2: 0.5}),
-                (1, "b", {1: 1.0}),
-                (2, "c", {0: 1.0}),
+                (0, "a", {1: 1.0, 2: 1.0}),
+                (1, "b", {1: 2.0}),
+                (2, "c", {0: 2.0}),
             ],
         )
         with tracing() as tracer:
-            bounded_reachability(mdp, [1], steps=7)
-            unbounded_reachability(mdp, [1])
+            unbounded_reachability(ctmdp, [1])
         sweeps = [s for s in tracer.spans if s.name == "vi.sweep"]
-        assert [s.attributes["kind"] for s in sweeps] == ["bounded", "unbounded"]
-        assert sweeps[0].attributes["steps"]["steps"] == 7
-        assert sweeps[1].attributes["steps"]["steps"] > 0
+        assert [s.attributes["kind"] for s in sweeps] == ["unbounded"]
+        assert sweeps[0].attributes["steps"]["steps"] > 0
 
 
 class TestProfile:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs import (
     current_tracer,
-    read_jsonl,
     span,
     summarize_durations,
     sweep_span,
@@ -158,7 +157,7 @@ class TestAggregationAndExport:
                     pass
         path = tmp_path / "trace.jsonl"
         tracer.write_jsonl(path)
-        records = read_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines() if line]
         assert [r["name"] for r in records] == ["outer", "inner"]
         assert records[0]["attributes"]["n"] == 2
         assert records[1]["parent"] == records[0]["index"]

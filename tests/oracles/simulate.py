@@ -1,56 +1,122 @@
-"""Monte-Carlo simulation of CTMCs and scheduled CTMDPs.
+"""Monte-Carlo oracle: discrete-event simulation of CTMCs and scheduled CTMDPs.
 
-Discrete-event simulation provides an independent implementation of the
-timed semantics: the statistical estimates obtained here must bracket
-the analytic answers of the uniformization-based algorithms.  The test
-suite uses this to cross-validate Algorithm 1 (any scheduler's simulated
-reachability probability must fall between the ``min`` and ``max``
-analytic values) and the CTMC transient solver.
+Simulation is an independent implementation of the timed semantics.
+Its estimates must bracket the analytic answers of the
+uniformisation-based algorithms: any scheduler's simulated reachability
+probability lies between the ``min`` and ``max`` values of Algorithm 1,
+and a CTMC's lies at its transient solution.
+
+A scheduler (Definition 2 of the paper) resolves a CTMDP's
+nondeterminism from the time-abstract history.  Three kinds drive the
+simulator:
+
+* :class:`StationaryScheduler` -- deterministic and memoryless; it
+  induces a CTMC on the model;
+* :class:`StepScheduler` -- deterministic and step-counting, the shape
+  of the optimal schedulers Algorithm 1 records;
+* :class:`UniformRandomScheduler` -- every transition equally likely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.scheduler import Scheduler
 from repro.ctmc.model import CTMC
-from repro.errors import ModelError
+from repro.errors import ModelError, ReproError
+from repro.sim.imc_sim import SimulationEstimate, _estimate
 
-__all__ = ["SimulationEstimate", "simulate_ctmc_reachability", "simulate_ctmdp_reachability"]
+
+class SchedulerError(ReproError):
+    """A scheduler is inconsistent with the model it is applied to."""
+
+
+class Scheduler(Protocol):
+    """Map ``(state, step, history)`` to a distribution over the outgoing
+    transitions of ``state``, in the order of ``ctmdp.transitions_of``.
+
+    ``history`` is the time-abstract path prefix as ``(state, action)``
+    pairs; ``step`` is its length.
+    """
+
+    def distribution(
+        self, ctmdp: CTMDP, state: int, step: int, history: Sequence[tuple[int, str]]
+    ) -> np.ndarray:
+        ...  # pragma: no cover - protocol
+
+
+def _check_state_has_choices(ctmdp: CTMDP, state: int) -> int:
+    count = ctmdp.num_choices(state)
+    if count == 0:
+        raise SchedulerError(f"state {state} has no outgoing transitions to schedule")
+    return count
+
+
+def _point_mass(count: int, choice: int) -> np.ndarray:
+    result = np.zeros(count)
+    result[choice] = 1.0
+    return result
 
 
 @dataclass(frozen=True)
-class SimulationEstimate:
-    """A Monte-Carlo estimate with its standard error.
+class StationaryScheduler:
+    """Deterministic memoryless scheduler: one fixed choice per state."""
 
-    Attributes
-    ----------
-    probability:
-        Fraction of runs that reached the goal within the bound.
-    standard_error:
-        Binomial standard error of the estimate.
-    runs:
-        Number of simulated trajectories.
+    choices: np.ndarray
+
+    @classmethod
+    def from_list(cls, choices: Sequence[int]) -> StationaryScheduler:
+        return cls(choices=np.asarray(choices, dtype=np.int64))
+
+    def distribution(
+        self, ctmdp: CTMDP, state: int, step: int, history: Sequence[tuple[int, str]]
+    ) -> np.ndarray:
+        count = _check_state_has_choices(ctmdp, state)
+        choice = int(self.choices[state])
+        if not 0 <= choice < count:
+            raise SchedulerError(
+                f"choice {choice} out of range for state {state} with {count} alternatives"
+            )
+        return _point_mass(count, choice)
+
+
+@dataclass(frozen=True)
+class StepScheduler:
+    """Deterministic step-dependent scheduler.
+
+    ``decisions[i][s]`` is the transition chosen in state ``s`` after
+    ``i`` jumps; later steps reuse the last row.  Algorithm 1 writes the
+    decision of backward index ``i`` into row ``i - 1``, and forward
+    execution after ``j`` jumps is governed by backward index ``j + 1``,
+    so a recorded table (dense or
+    :class:`~repro.policy.store.CompressedDecisions`) is used as is.
     """
 
-    probability: float
-    standard_error: float
-    runs: int
+    decisions: np.ndarray
 
-    def confidence_interval(self, z: float = 3.0) -> tuple[float, float]:
-        """``z``-sigma confidence interval, clipped to ``[0, 1]``."""
-        low = max(0.0, self.probability - z * self.standard_error)
-        high = min(1.0, self.probability + z * self.standard_error)
-        return low, high
+    def distribution(
+        self, ctmdp: CTMDP, state: int, step: int, history: Sequence[tuple[int, str]]
+    ) -> np.ndarray:
+        count = _check_state_has_choices(ctmdp, state)
+        row = min(step, len(self.decisions) - 1)
+        choice = max(int(self.decisions[row][state]), 0)
+        if choice >= count:
+            raise SchedulerError(f"recorded choice {choice} out of range for state {state}")
+        return _point_mass(count, choice)
 
 
-def _estimate(hits: int, runs: int) -> SimulationEstimate:
-    p = hits / runs
-    se = float(np.sqrt(max(p * (1.0 - p), 1.0 / runs) / runs))
-    return SimulationEstimate(probability=p, standard_error=se, runs=runs)
+@dataclass(frozen=True)
+class UniformRandomScheduler:
+    """Randomized memoryless scheduler giving every transition equal weight."""
+
+    def distribution(
+        self, ctmdp: CTMDP, state: int, step: int, history: Sequence[tuple[int, str]]
+    ) -> np.ndarray:
+        count = _check_state_has_choices(ctmdp, state)
+        return np.full(count, 1.0 / count)
 
 
 def simulate_ctmc_reachability(

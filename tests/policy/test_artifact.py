@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ModelError
 from repro.obs import NumericalCertificate
 from repro.policy.artifact import (
-    MAGIC,
     PolicyArtifact,
     load_artifact,
     policy_key,

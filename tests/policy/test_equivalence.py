@@ -15,7 +15,6 @@ from repro.core.reachability import (
     replay_step_scheduler,
     timed_reachability,
 )
-from repro.core.scheduler import greedy_scheduler_from_decisions
 from repro.core.until import timed_until
 from repro.models import ftwc_direct
 from repro.policy.store import CompressedDecisions
@@ -112,9 +111,8 @@ class TestReplay:
         result = timed_reachability(
             ftwc.ctmdp, ftwc.goal_mask, t, record_scheduler=True
         )
-        scheduler = greedy_scheduler_from_decisions(result.decisions)
         values = replay_step_scheduler(
-            ftwc.ctmdp, ftwc.goal_mask, t, scheduler.decisions
+            ftwc.ctmdp, ftwc.goal_mask, t, result.decisions
         )
         reference = replay_step_scheduler(
             ftwc.ctmdp, ftwc.goal_mask, t, result.decisions.dense()

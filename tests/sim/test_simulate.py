@@ -2,15 +2,14 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.core.scheduler import StationaryScheduler
 from repro.ctmc.model import CTMC
 from repro.ctmc.reachability import timed_reachability
 from repro.errors import ModelError
 from repro.models.zoo import two_phase_race_ctmdp
-from repro.sim.simulate import (
+from tests.oracles.simulate import (
+    StationaryScheduler,
     simulate_ctmc_reachability,
     simulate_ctmdp_reachability,
 )
@@ -77,7 +76,7 @@ class TestCTMDPSimulation:
         assert large.standard_error < small.standard_error
 
     def test_confidence_interval_clipped(self):
-        from repro.sim.simulate import SimulationEstimate
+        from repro.sim.imc_sim import SimulationEstimate
 
         estimate = SimulationEstimate(probability=0.01, standard_error=0.05, runs=10)
         low, high = estimate.confidence_interval(z=3.0)

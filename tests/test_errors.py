@@ -8,7 +8,6 @@ from repro.errors import (
     NonUniformError,
     NumericalError,
     ReproError,
-    SchedulerError,
     TransformationError,
 )
 
@@ -22,7 +21,6 @@ class TestHierarchy:
             TransformationError,
             NumericalError,
             CompositionError,
-            SchedulerError,
         ],
     )
     def test_all_derive_from_repro_error(self, exception):

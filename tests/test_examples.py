@@ -35,11 +35,11 @@ class TestExamples:
     def test_scheduler_extraction(self):
         out = run_example("scheduler_extraction.py")
         assert "sup over schedulers" in out
-        assert "Monte-Carlo" in out
+        assert "Equal to the analytic optimum: True" in out
 
     def test_time_constraints(self):
         out = run_example("time_constraints.py")
-        assert "quotient bisimilar to original: True" in out
+        assert "quotient analyses identically (worst and best case): True" in out
 
     def test_job_scheduling(self):
         out = run_example("job_scheduling.py")

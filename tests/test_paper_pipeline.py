@@ -9,16 +9,16 @@ cross-checks the final numbers against independent machinery (CTMC
 solver, Monte-Carlo simulation of the untransformed IMC).
 """
 
-import numpy as np
 import pytest
 
-from repro.bisim import are_branching_bisimilar, branching_minimize
+from repro.bisim import branching_minimize
 from repro.bisim.quotient import map_labels_through
 from repro.core import timed_reachability
 from repro.ctmc import PhaseType
 from repro.imc import elapse, hide_all_but, imc_to_ctmdp, lts, parallel
 from repro.imc.model import StateClass
 from repro.sim.imc_sim import random_resolver, simulate_imc_reachability
+from tests.oracles.bisim import are_branching_bisimilar
 
 
 @pytest.fixture(scope="module")

@@ -20,8 +20,8 @@ from repro.ctmc.reachability import (
 )
 from repro.ctmc.until import timed_until as ctmc_timed_until
 from repro.errors import ModelError
-from repro.graph import graph_of, prob0_forall
-from repro.mdp import DTMDP, bounded_reachability
+from repro.graph import graph_of, prob0_exists, prob0_forall, prob1_exists, prob1_forall
+from repro.mdp.model import DTMDP
 
 N = 3
 
@@ -58,7 +58,10 @@ ENTRY_POINTS = {
     ),
     "ctmc.expected_hitting_time": lambda s: expected_hitting_time(_ctmc(), s),
     "graph.prob0_forall": lambda s: prob0_forall(graph_of(_ctmdp()), s),
-    "mdp.bounded_reachability": lambda s: bounded_reachability(_dtmdp(), s, 2),
+    "graph.prob0_exists": lambda s: prob0_exists(graph_of(_ctmdp()), s),
+    "graph.prob1_exists": lambda s: prob1_exists(graph_of(_ctmdp()), s),
+    "graph.prob1_forall": lambda s: prob1_forall(graph_of(_ctmdp()), s),
+    "graph.prob0_forall-dtmdp": lambda s: prob0_forall(graph_of(_dtmdp()), s),
 }
 
 BAD_SETS = {
